@@ -17,11 +17,9 @@
  * its own trace-cache entry.
  */
 
-#include <algorithm>
-
 #include "common.hh"
 
-#include "stats/histogram.hh"
+#include "core/figures.hh"
 
 using namespace tstream;
 using namespace tstream::bench;
@@ -60,24 +58,15 @@ l2SweepGrid(const BenchBudgets &budgets)
 }
 
 std::vector<BenchRow>
-buildRows(const CellResult &res)
+buildRows(const Cell &cell, const std::vector<RunOutput> &runs)
 {
     // The swept size comes from the cell's own config, not from grid
     // index arithmetic, so reordering the sweep loops cannot mislabel
     // rows.
     const std::uint64_t mb =
-        res.cell.cfg.multiChip.l2.sizeBytes / (1024 * 1024);
-    const RunOutput &r = res.runs.front();
-
-    std::uint64_t cls[kNumMissClasses] = {};
-    for (const MissRecord &m : r.trace.misses)
-        cls[m.cls]++;
-    const double tot = std::max<double>(
-        1.0, static_cast<double>(r.trace.misses.size()));
-
-    LogHistogram h(7, 1);
-    for (const auto &[dist, w] : r.streams.reuseWeighted)
-        h.add(dist == 0 ? 1 : dist, w);
+        cell.cfg.multiChip.l2.sizeBytes / (1024 * 1024);
+    const RunOutput &r = runs.front();
+    const FigureMetrics cls = fig1OffChipMetrics(r.trace);
 
     BenchRow row;
     row.table = "l2_sweep";
@@ -85,22 +74,20 @@ buildRows(const CellResult &res)
                           static_cast<unsigned long long>(mb));
     row.label = std::string(workloadName(r.workload));
     row.text = strprintf("%-10s %3lluMB %9.2f %7.1f%% %7.1f%%",
-                         std::string(workloadName(r.workload)).c_str(),
+                         row.label.c_str(),
                          static_cast<unsigned long long>(mb),
-                         r.trace.mpki(), 100.0 * cls[3] / tot,
-                         100.0 * cls[1] / tot);
+                         cls[kFig1Mpki].second,
+                         cls[kFig1Replacement].second,
+                         cls[kFig1Coherence].second);
     row.metrics = {
         {"l2_mb", static_cast<double>(mb)},
-        {"mpki", r.trace.mpki()},
-        {"replacement_pct", 100.0 * cls[3] / tot},
-        {"coherence_pct", 100.0 * cls[1] / tot},
+        cls[kFig1Mpki],
+        cls[kFig1Replacement],
+        cls[kFig1Coherence],
     };
-    for (int d = 0; d < 7; ++d) {
-        const double frac =
-            100.0 * h.fraction(static_cast<std::size_t>(d));
-        row.text += strprintf("  %6.1f%%", frac);
-        row.metrics.emplace_back(
-            strprintf("decade_1e%d_1e%d_pct", d, d + 1), frac);
+    for (const auto &decade : fig4ReuseMetrics(r.streams)) {
+        row.text += strprintf("  %6.1f%%", decade.second);
+        row.metrics.push_back(decade);
     }
     return {std::move(row)};
 }
@@ -115,15 +102,14 @@ main(int argc, char **argv)
     benchRejectWorkloadOverrides(opts); // fixed (app, L2-size) grid
     const auto grid = l2SweepGrid(opts.budgets);
     const auto cells = runBenchCells(
-        grid, opts, opts.driver(),
-        [](const CellResult &res) { return buildRows(res); });
+        grid, opts, opts.driver(), buildRows);
 
     std::printf("Ablation B: L2 size sweep (OLTP + KVstore, "
                 "multi-chip)\n");
     rule();
     std::printf("%-10s %-5s %8s %8s %8s", "app", "L2", "mpki", "repl",
                 "coh");
-    for (int d = 0; d < 7; ++d)
+    for (int d = 0; d < kFig4ReuseDecades; ++d)
         std::printf("  1e%d-1e%d", d, d + 1);
     std::printf("\n");
     rule();

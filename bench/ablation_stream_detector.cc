@@ -15,6 +15,8 @@
 
 #include "common.hh"
 
+#include "core/figures.hh"
+
 using namespace tstream;
 using namespace tstream::bench;
 
@@ -65,23 +67,23 @@ fixedWindowCoverage(const MissTrace &trace, unsigned w)
 }
 
 std::vector<BenchRow>
-buildRows(const CellResult &res)
+buildRows(const Cell &, const std::vector<RunOutput> &runs)
 {
     std::vector<BenchRow> rows;
-    for (const RunOutput &r : res.runs) {
+    for (const RunOutput &r : runs) {
         if (r.kind == TraceKind::IntraChip)
             continue;
+        // SEQUITUR's coverage is fig2's in-stream share.
+        const double inStreams =
+            fig2Metrics(r.streams)[kFig2InStreams].second;
         BenchRow row;
         row.table = "coverage";
         row.trace = std::string(traceKindName(r.kind));
         row.text = strprintf(
             "%-10s %-12s %8.1f%%",
             std::string(workloadName(r.workload)).c_str(),
-            std::string(traceKindName(r.kind)).c_str(),
-            100.0 * r.streams.inStreamFraction());
-        row.metrics = {
-            {"sequitur_pct", 100.0 * r.streams.inStreamFraction()},
-        };
+            row.trace.c_str(), inStreams);
+        row.metrics = {{"sequitur_pct", inStreams}};
         for (unsigned w : {2u, 4u, 8u, 16u}) {
             const double cov =
                 100.0 * fixedWindowCoverage(r.trace, w);
@@ -89,10 +91,9 @@ buildRows(const CellResult &res)
             row.metrics.emplace_back(strprintf("window_%u_pct", w),
                                      cov);
         }
-        row.text +=
-            strprintf(" %7.0f", r.streams.medianStreamLength());
-        row.metrics.emplace_back("median_length",
-                                 r.streams.medianStreamLength());
+        // fig4's median_length column.
+        row.metrics.push_back(fig4LengthMetrics(r.streams).back());
+        row.text += strprintf(" %7.0f", row.metrics.back().second);
         rows.push_back(std::move(row));
     }
     return rows;
@@ -112,8 +113,7 @@ main(int argc, char **argv)
          WorkloadKind::KvStore},
         opts);
     const auto cells = runBenchCells(
-        grid, opts, opts.driver(),
-        [](const CellResult &res) { return buildRows(res); });
+        grid, opts, opts.driver(), buildRows);
 
     std::printf("Ablation A: SEQUITUR vs fixed-window stream "
                 "detection (coverage of misses)\n");

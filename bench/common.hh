@@ -14,9 +14,11 @@
 #ifndef TSTREAM_BENCH_COMMON_HH
 #define TSTREAM_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -94,29 +96,16 @@ printTable(const std::vector<BenchCell> &cells, const char *table)
  * deterministic, so a stored cell equals a re-run one). A resume
  * mismatch (schema version, budgets, grid size, or a cell's config
  * hash) aborts with an error instead of mixing configurations. Under
- * `--claim-session` the whole grid is offered to the driver and the
- * claim protocol decides which cells this worker runs (--shard and
- * --resume are excluded by the parser). A cell that exhausted its
- * retries comes back as a failure row with no table rows. @p build
- * maps one executed CellResult to its table rows. Cells come back in
- * grid order either way.
+ * `--claim-session` the claim protocol decides which cells this
+ * worker runs (the parser excludes --shard and --resume there). The
+ * driver calls @p build on each executed cell's analyzed runs inside
+ * the cell attempt; a cell that exhausted its retries comes back as a
+ * failure row with no table rows. Cells come back in grid order.
  */
-template <typename Build>
-std::vector<BenchCell>
+inline std::vector<BenchCell>
 runBenchCells(const std::vector<Cell> &grid, const BenchOptions &opts,
-              const DriverOptions &dopts, Build &&build)
+              const DriverOptions &dopts, const RowBuilder &build)
 {
-    if (dopts.claim.enabled()) {
-        const std::vector<CellResult> results = runCells(grid, dopts);
-        std::vector<BenchCell> cells;
-        cells.reserve(results.size());
-        for (const CellResult &res : results)
-            cells.push_back(makeBenchCell(
-                res, res.failed ? std::vector<BenchRow>{}
-                                : build(res)));
-        return cells;
-    }
-
     std::vector<BenchCell> prior;
     if (opts.resume) {
         std::string err;
@@ -144,28 +133,16 @@ runBenchCells(const std::vector<Cell> &grid, const BenchOptions &opts,
         have[c.index] = true;
     std::vector<Cell> todo;
     for (const Cell &c : grid)
-        if (dopts.shard.owns(c.index) && !have[c.index])
+        if (!have[c.index])
             todo.push_back(c);
 
-    DriverOptions run = dopts;
-    run.shard = ShardSpec{}; // todo is already shard-filtered
-    const std::vector<CellResult> results = runCells(todo, run);
-
-    std::vector<BenchCell> cells;
-    cells.reserve(prior.size() + results.size());
-    std::size_t p = 0, f = 0;
-    while (p < prior.size() || f < results.size()) {
-        if (f >= results.size() ||
-            (p < prior.size() &&
-             prior[p].index < results[f].cell.index))
-            cells.push_back(std::move(prior[p++]));
-        else {
-            const CellResult &res = results[f++];
-            cells.push_back(makeBenchCell(
-                res, res.failed ? std::vector<BenchRow>{}
-                                : build(res)));
-        }
-    }
+    std::vector<BenchCell> cells = runCells(todo, dopts, build);
+    cells.insert(cells.end(), std::make_move_iterator(prior.begin()),
+                 std::make_move_iterator(prior.end()));
+    std::sort(cells.begin(), cells.end(),
+              [](const BenchCell &a, const BenchCell &b) {
+                  return a.index < b.index;
+              });
     return cells;
 }
 

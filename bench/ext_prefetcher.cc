@@ -23,6 +23,7 @@
 
 #include "common.hh"
 
+#include "core/figures.hh"
 #include "core/prefetch_policy.hh"
 
 using namespace tstream;
@@ -125,10 +126,10 @@ scorePolicy(const MissTrace &trace, const std::string &name,
 }
 
 std::vector<BenchRow>
-buildRows(const CellResult &res, const ExtOptions &ext)
+buildRows(const std::vector<RunOutput> &runs, const ExtOptions &ext)
 {
     std::vector<BenchRow> rows;
-    for (const RunOutput &r : res.runs) {
+    for (const RunOutput &r : runs) {
         const std::string wl(workloadName(r.workload));
         const std::string kind(traceKindName(r.kind));
 
@@ -138,12 +139,10 @@ buildRows(const CellResult &res, const ExtOptions &ext)
         BenchRow row;
         row.table = "prefetcher";
         row.trace = kind;
+        row.metrics = {fig2Metrics(r.streams)[kFig2InStreams]};
         row.text = strprintf("%-10s %-12s %9.1f%% |       ",
                              wl.c_str(), kind.c_str(),
-                             100.0 * r.streams.inStreamFraction());
-        row.metrics = {
-            {"in_streams_pct", 100.0 * r.streams.inStreamFraction()},
-        };
+                             row.metrics[0].second);
         double acc8 = 0.0;
         for (unsigned d : {1u, 4u, 8u, 16u, 32u}) {
             std::uint64_t storage = 0;
@@ -266,7 +265,9 @@ main(int argc, char **argv)
     const auto grid = benchGrid(kAllWorkloads, opts);
     const auto cells = runBenchCells(
         grid, opts, opts.driver(),
-        [&ext](const CellResult &res) { return buildRows(res, ext); });
+        [ext](const Cell &, const std::vector<RunOutput> &runs) {
+            return buildRows(runs, ext);
+        });
 
     std::printf("Extension: temporal-streaming prefetcher coverage / "
                 "accuracy\n");

@@ -16,9 +16,9 @@
  * coherence.
  */
 
-#include <algorithm>
-
 #include "common.hh"
+
+#include "core/figures.hh"
 
 using namespace tstream;
 using namespace tstream::bench;
@@ -27,60 +27,32 @@ namespace
 {
 
 std::vector<BenchRow>
-buildRows(const CellResult &res)
+buildRows(const Cell &, const std::vector<RunOutput> &runs)
 {
     std::vector<BenchRow> rows;
-    for (const RunOutput &r : res.runs) {
-        std::uint64_t cls[kNumMissClasses] = {};
-        for (const MissRecord &m : r.trace.misses)
-            cls[m.cls]++;
-        const double tot = std::max<double>(
-            1.0, static_cast<double>(r.trace.misses.size()));
+    for (const RunOutput &r : runs) {
+        const std::string wl(workloadName(r.workload));
+        const std::string kind(traceKindName(r.kind));
         BenchRow row;
-        row.trace = std::string(traceKindName(r.kind));
+        row.trace = kind;
         if (r.kind != TraceKind::IntraChip) {
-            const double mpki = r.trace.mpki();
             row.table = "offchip";
+            row.metrics = fig1OffChipMetrics(r.trace);
+            const auto &m = row.metrics;
             row.text = strprintf(
                 "%-10s %-12s %8.2f %9.1f%% %5.1f%% %7.1f%% %9.1f%% "
                 "%10zu",
-                std::string(workloadName(r.workload)).c_str(),
-                std::string(traceKindName(r.kind)).c_str(), mpki,
-                100.0 * cls[0] / tot, 100.0 * cls[2] / tot,
-                100.0 * cls[3] / tot, 100.0 * cls[1] / tot,
+                wl.c_str(), kind.c_str(), m[0].second, m[1].second,
+                m[2].second, m[3].second, m[4].second,
                 r.trace.misses.size());
-            row.metrics = {
-                {"mpki", mpki},
-                {"compulsory_pct", 100.0 * cls[0] / tot},
-                {"io_coherence_pct", 100.0 * cls[2] / tot},
-                {"replacement_pct", 100.0 * cls[3] / tot},
-                {"coherence_pct", 100.0 * cls[1] / tot},
-                {"misses",
-                 static_cast<double>(r.trace.misses.size())},
-            };
         } else {
-            // Coherence share of on-chip-satisfied traffic (the
-            // paper's "one third to one half of all L2 and peer-L1
-            // accesses").
-            const double onchip = std::max<double>(
-                1.0, static_cast<double>(cls[0] + cls[1] + cls[2]));
-            const double cohShare =
-                100.0 * (cls[0] + cls[1]) / onchip;
             row.table = "intra";
+            row.metrics = fig1IntraMetrics(r.trace);
+            const auto &m = row.metrics;
             row.text = strprintf(
                 "%-10s %8.2f %8.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%%",
-                std::string(workloadName(r.workload)).c_str(),
-                r.trace.mpki(), 100.0 * cls[0] / tot,
-                100.0 * cls[1] / tot, 100.0 * cls[2] / tot,
-                100.0 * cls[3] / tot, cohShare);
-            row.metrics = {
-                {"mpki", r.trace.mpki()},
-                {"peer_l1_pct", 100.0 * cls[0] / tot},
-                {"coherence_l2_pct", 100.0 * cls[1] / tot},
-                {"replacement_l2_pct", 100.0 * cls[2] / tot},
-                {"offchip_pct", 100.0 * cls[3] / tot},
-                {"coherence_share_pct", cohShare},
-            };
+                wl.c_str(), m[0].second, m[1].second, m[2].second,
+                m[3].second, m[4].second, m[5].second);
         }
         rows.push_back(std::move(row));
     }
@@ -100,7 +72,7 @@ main(int argc, char **argv)
     const auto cells = runBenchCells(
         grid, opts,
         opts.driver(/*analyze_streams=*/false, /*filter_intra=*/false),
-        [](const CellResult &res) { return buildRows(res); });
+        buildRows);
 
     std::printf("Figure 1 (left): off-chip read misses per 1000 "
                 "instructions\n");

@@ -9,9 +9,9 @@
  * highly repetitive but single-chip only about half; DSS the lowest.
  */
 
-#include <algorithm>
-
 #include "common.hh"
+
+#include "core/figures.hh"
 
 using namespace tstream;
 using namespace tstream::bench;
@@ -20,29 +20,20 @@ namespace
 {
 
 std::vector<BenchRow>
-buildRows(const CellResult &res)
+buildRows(const Cell &, const std::vector<RunOutput> &runs)
 {
     std::vector<BenchRow> rows;
-    for (const RunOutput &r : res.runs) {
-        const StreamStats &s = r.streams;
-        const double tot = std::max<double>(
-            1.0, static_cast<double>(s.totalMisses));
+    for (const RunOutput &r : runs) {
         BenchRow row;
         row.table = "streams";
         row.trace = std::string(traceKindName(r.kind));
+        row.metrics = fig2Metrics(r.streams);
+        const auto &m = row.metrics;
         row.text = strprintf(
             "%-10s %-12s %9.1f%% %9.1f%% %11.1f%% %9.1f%%",
             std::string(workloadName(r.workload)).c_str(),
-            std::string(traceKindName(r.kind)).c_str(),
-            100.0 * s.nonRepetitive / tot, 100.0 * s.newStream / tot,
-            100.0 * s.recurringStream / tot,
-            100.0 * s.inStreamFraction());
-        row.metrics = {
-            {"non_repetitive_pct", 100.0 * s.nonRepetitive / tot},
-            {"new_stream_pct", 100.0 * s.newStream / tot},
-            {"recurring_stream_pct", 100.0 * s.recurringStream / tot},
-            {"in_streams_pct", 100.0 * s.inStreamFraction()},
-        };
+            row.trace.c_str(), m[0].second, m[1].second, m[2].second,
+            m[3].second);
         rows.push_back(std::move(row));
     }
     return rows;
@@ -57,8 +48,7 @@ main(int argc, char **argv)
         parseBenchArgs(argc, argv, "fig2_stream_fraction");
     const auto grid = benchGrid(kAllWorkloads, opts);
     const auto cells = runBenchCells(
-        grid, opts, opts.driver(),
-        [](const CellResult &res) { return buildRows(res); });
+        grid, opts, opts.driver(), buildRows);
 
     std::printf("Figure 2: fraction of misses in temporal streams\n");
     rule();

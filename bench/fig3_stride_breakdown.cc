@@ -9,9 +9,9 @@
  * temporal streams are largely disjoint.
  */
 
-#include <algorithm>
-
 #include "common.hh"
+
+#include "core/figures.hh"
 
 using namespace tstream;
 using namespace tstream::bench;
@@ -20,38 +20,20 @@ namespace
 {
 
 std::vector<BenchRow>
-buildRows(const CellResult &res)
+buildRows(const Cell &, const std::vector<RunOutput> &runs)
 {
     std::vector<BenchRow> rows;
-    for (const RunOutput &r : res.runs) {
-        const StreamStats &s = r.streams;
-        const double tot = std::max<double>(
-            1.0, static_cast<double>(s.totalMisses));
-        const double strided =
-            100.0 * (s.stridedRepetitive + s.stridedNonRepetitive) /
-            tot;
+    for (const RunOutput &r : runs) {
         BenchRow row;
         row.table = "strides";
         row.trace = std::string(traceKindName(r.kind));
+        row.metrics = fig3Metrics(r.streams);
+        const auto &m = row.metrics;
         row.text = strprintf(
             "%-10s %-12s %9.1f%% %9.1f%% %9.1f%% %9.1f%% %7.1f%%",
             std::string(workloadName(r.workload)).c_str(),
-            std::string(traceKindName(r.kind)).c_str(),
-            100.0 * s.stridedRepetitive / tot,
-            100.0 * s.nonStridedRepetitive / tot,
-            100.0 * s.stridedNonRepetitive / tot,
-            100.0 * s.nonStridedNonRepetitive / tot, strided);
-        row.metrics = {
-            {"strided_repetitive_pct",
-             100.0 * s.stridedRepetitive / tot},
-            {"non_strided_repetitive_pct",
-             100.0 * s.nonStridedRepetitive / tot},
-            {"strided_non_repetitive_pct",
-             100.0 * s.stridedNonRepetitive / tot},
-            {"non_strided_non_repetitive_pct",
-             100.0 * s.nonStridedNonRepetitive / tot},
-            {"strided_pct", strided},
-        };
+            row.trace.c_str(), m[0].second, m[1].second, m[2].second,
+            m[3].second, m[4].second);
         rows.push_back(std::move(row));
     }
     return rows;
@@ -66,8 +48,7 @@ main(int argc, char **argv)
         parseBenchArgs(argc, argv, "fig3_stride_breakdown");
     const auto grid = benchGrid(kAllWorkloads, opts);
     const auto cells = runBenchCells(
-        grid, opts, opts.driver(),
-        [](const CellResult &res) { return buildRows(res); });
+        grid, opts, opts.driver(), buildRows);
 
     std::printf("Figure 3: strides and temporal streams\n");
     rule();

@@ -11,9 +11,11 @@
  * 10^4 from bulk copies.
  */
 
+#include <iterator>
+
 #include "common.hh"
 
-#include "stats/histogram.hh"
+#include "core/figures.hh"
 
 using namespace tstream;
 using namespace tstream::bench;
@@ -21,60 +23,33 @@ using namespace tstream::bench;
 namespace
 {
 
-const std::vector<std::uint64_t> kLenPoints = {1,  2,   4,   8,  16,
-                                               32, 64,  128, 512,
-                                               1024, 4096};
-
 std::vector<BenchRow>
-buildRows(const CellResult &res)
+buildRows(const Cell &, const std::vector<RunOutput> &runs)
 {
     std::vector<BenchRow> rows;
-    for (const RunOutput &r : res.runs) {
-        {
-            WeightedCdf cdf;
-            for (const auto &[len, w] : r.streams.lengthWeighted)
-                cdf.add(len, w);
-            BenchRow row;
-            row.table = "length_cdf";
-            row.trace = std::string(traceKindName(r.kind));
-            row.text = strprintf(
-                "%-10s %-12s",
-                std::string(workloadName(r.workload)).c_str(),
-                std::string(traceKindName(r.kind)).c_str());
-            for (auto p : kLenPoints) {
-                row.text +=
-                    strprintf(" %6.1f%%", 100.0 * cdf.cumulativeAt(p));
-                row.metrics.emplace_back(
-                    strprintf("cdf_le_%llu",
-                              static_cast<unsigned long long>(p)),
-                    100.0 * cdf.cumulativeAt(p));
-            }
-            row.text += strprintf(" %6.0f",
-                                  r.streams.medianStreamLength());
-            row.metrics.emplace_back("median_length",
-                                     r.streams.medianStreamLength());
-            rows.push_back(std::move(row));
-        }
-        {
-            LogHistogram h(7, 1);
-            for (const auto &[dist, w] : r.streams.reuseWeighted)
-                h.add(dist == 0 ? 1 : dist, w);
-            BenchRow row;
-            row.table = "reuse_pdf";
-            row.trace = std::string(traceKindName(r.kind));
-            row.text = strprintf(
-                "%-10s %-12s",
-                std::string(workloadName(r.workload)).c_str(),
-                std::string(traceKindName(r.kind)).c_str());
-            for (int d = 0; d < 7; ++d) {
-                const double frac =
-                    100.0 * h.fraction(static_cast<std::size_t>(d));
-                row.text += strprintf("  %6.1f%%", frac);
-                row.metrics.emplace_back(
-                    strprintf("decade_1e%d_1e%d_pct", d, d + 1), frac);
-            }
-            rows.push_back(std::move(row));
-        }
+    for (const RunOutput &r : runs) {
+        const std::string head =
+            strprintf("%-10s %-12s",
+                      std::string(workloadName(r.workload)).c_str(),
+                      std::string(traceKindName(r.kind)).c_str());
+        BenchRow len;
+        len.table = "length_cdf";
+        len.trace = std::string(traceKindName(r.kind));
+        len.metrics = fig4LengthMetrics(r.streams);
+        len.text = head;
+        for (std::size_t i = 0; i < std::size(kFig4LengthPoints); ++i)
+            len.text += strprintf(" %6.1f%%", len.metrics[i].second);
+        len.text += strprintf(" %6.0f", len.metrics.back().second);
+        rows.push_back(std::move(len));
+
+        BenchRow reuse;
+        reuse.table = "reuse_pdf";
+        reuse.trace = std::string(traceKindName(r.kind));
+        reuse.metrics = fig4ReuseMetrics(r.streams);
+        reuse.text = head;
+        for (const auto &[name, pct] : reuse.metrics)
+            reuse.text += strprintf("  %6.1f%%", pct);
+        rows.push_back(std::move(reuse));
     }
     return rows;
 }
@@ -88,14 +63,13 @@ main(int argc, char **argv)
         parseBenchArgs(argc, argv, "fig4_length_reuse");
     const auto grid = benchGrid(kAllWorkloads, opts);
     const auto cells = runBenchCells(
-        grid, opts, opts.driver(),
-        [](const CellResult &res) { return buildRows(res); });
+        grid, opts, opts.driver(), buildRows);
 
     std::printf("Figure 4 (left): cumulative stream-length "
                 "distribution, weighted by contribution\n");
     rule();
     std::printf("%-10s %-12s", "app", "context");
-    for (auto p : kLenPoints)
+    for (auto p : kFig4LengthPoints)
         std::printf(" <=%-5llu", static_cast<unsigned long long>(p));
     std::printf(" median\n");
     rule();
@@ -105,7 +79,7 @@ main(int argc, char **argv)
                 "(weight = stream length),\nper-decade shares\n");
     rule();
     std::printf("%-10s %-12s", "app", "context");
-    for (int d = 0; d < 7; ++d)
+    for (int d = 0; d < kFig4ReuseDecades; ++d)
         std::printf("  1e%d-1e%d", d, d + 1);
     std::printf("\n");
     rule();

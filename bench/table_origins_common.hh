@@ -28,9 +28,9 @@ runOriginsTable(const char *benchName, const char *title,
     // The printed blocks need the table header lines around each row
     // group, so the per-cell rows carry a "header" row first whose
     // text is the block heading, followed by one row per category.
-    auto build = [&](const CellResult &res) {
+    auto build = [=](const Cell &, const std::vector<RunOutput> &runs) {
         std::vector<BenchRow> rows;
-        for (const RunOutput &r : res.runs) {
+        for (const RunOutput &r : runs) {
             for (Category c : moduleTableCategories(web_rows, db_rows,
                                                     scenario_rows)) {
                 BenchRow row;

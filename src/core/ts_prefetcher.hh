@@ -1,7 +1,7 @@
 /**
  * @file
- * Temporal-streaming prefetcher: shared config/stats types plus the
- * deprecated pre-policy-API entry points.
+ * Temporal-streaming prefetcher: the config and stats types shared by
+ * every prefetch policy.
  *
  * The paper is the characterization behind the temporal-streaming
  * prefetcher line (TSE [25], STEMS, and successors): record the miss
@@ -14,11 +14,8 @@
  *  - timeliness is not modeled (the traces are timing-free), matching
  *    the paper's hardware-independent stance.
  *
- * The mechanism itself now lives behind the pluggable policy API in
- * core/prefetch_policy.hh (FixedDepthPolicy + evaluatePolicy() is the
- * bit-identical successor of TsPrefetcher::evaluate). This header
- * keeps the shared TsPrefetcherConfig / TsPrefetcherStats types and
- * the old TsPrefetcher class as a thin compatibility wrapper.
+ * The mechanism itself lives behind the pluggable policy API in
+ * core/prefetch_policy.hh (FixedDepthPolicy + evaluatePolicy()).
  */
 
 #ifndef TSTREAM_CORE_TS_PREFETCHER_HH
@@ -74,40 +71,6 @@ struct TsPrefetcherStats
                    : static_cast<double>(useful) /
                          static_cast<double>(issued);
     }
-};
-
-/**
- * Trace-driven temporal-streaming prefetcher — compatibility wrapper.
- *
- * @deprecated Superseded by the policy API (core/prefetch_policy.hh):
- * use makePrefetchPolicy() + evaluatePolicy() instead. Kept as a thin
- * forwarder for one release; both methods reproduce the pre-API
- * results bit-identically.
- */
-class TsPrefetcher
-{
-  public:
-    explicit TsPrefetcher(const TsPrefetcherConfig &cfg = {});
-
-    /**
-     * Evaluate the fixed-depth policy over @p trace.
-     * @deprecated Equivalent to evaluatePolicy() on FixedDepthPolicy.
-     */
-    TsPrefetcherStats evaluate(const MissTrace &trace);
-
-    /**
-     * Evaluate a hybrid of temporal streaming and a stride engine
-     * (paper Section 4.3: coherence misses are repetitive but not
-     * strided, DSS copies are strided but not repetitive — the two
-     * mechanisms are complementary).
-     * @deprecated Equivalent to evaluatePolicy() on
-     * HybridPolicy::temporalPlusStride().
-     */
-    TsPrefetcherStats evaluateHybrid(const MissTrace &trace,
-                                     unsigned stride_degree = 2);
-
-  private:
-    TsPrefetcherConfig cfg_;
 };
 
 } // namespace tstream

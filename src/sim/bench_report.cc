@@ -31,25 +31,6 @@ hexToHash(const std::string &s, std::uint64_t &out)
 
 } // namespace
 
-BenchCell
-makeBenchCell(const CellResult &res, std::vector<BenchRow> rows)
-{
-    BenchCell c;
-    c.index = res.cell.index;
-    c.id = res.cell.id;
-    c.workload = std::string(workloadName(res.cell.cfg.workload));
-    c.context = std::string(contextName(res.cell.cfg.context));
-    c.configHash = configHash(res.cell.cfg);
-    c.cacheHit = res.cacheHit;
-    c.wallSeconds = res.wallSeconds;
-    c.instructions = res.instructions;
-    c.attempts = res.attempts;
-    c.failed = res.failed;
-    c.failureCause = res.failureCause;
-    c.rows = std::move(rows);
-    return c;
-}
-
 bool
 loadResumeCells(const std::string &path, const std::string &benchName,
                 bool quick, const BenchBudgets &budgets,

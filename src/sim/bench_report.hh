@@ -57,40 +57,6 @@ inline constexpr std::string_view kBenchReportSchema =
     "tstream-bench-report/v3";
 inline constexpr std::string_view kQueryDocSchema = "tstream-query/v1";
 
-/** One printed table row with its machine-readable metrics. */
-struct BenchRow
-{
-    std::string table; ///< which printed table/panel the row is in
-    std::string trace; ///< trace kind or sweep key ("multi-chip", "4MB")
-    std::string label; ///< optional sub-key (e.g. origin category)
-    /** Optional prefetch-policy name (core/prefetch_policy.hh) for
-     *  rows produced under a named policy (ext_prefetcher --policy /
-     *  --budget-sweep); serialized only when non-empty, so documents
-     *  without policy rows are byte-identical to pre-field reports. */
-    std::string policy;
-    std::string text;  ///< the exact printed line (no trailing newline)
-    std::vector<std::pair<std::string, double>> metrics;
-};
-
-/** One executed cell inside a bench document. */
-struct BenchCell
-{
-    std::size_t index = 0;
-    std::string id;
-    std::string workload;
-    std::string context;
-    std::uint64_t configHash = 0;
-    bool cacheHit = false;
-    double wallSeconds = 0.0;
-    std::uint64_t instructions = 0;
-    unsigned attempts = 1; ///< execution attempts consumed
-    /** Failure row: the cell exhausted its retries; rows is empty and
-     *  failureCause says why (e.g. "timeout after 500ms"). */
-    bool failed = false;
-    std::string failureCause;
-    std::vector<BenchRow> rows;
-};
-
 /** One bench binary's (possibly sharded) run. */
 struct BenchDoc
 {
@@ -102,10 +68,6 @@ struct BenchDoc
     unsigned jobs = 0;
     std::vector<BenchCell> cells; ///< ascending by index
 };
-
-/** Build a report cell from a driver result plus the bench's rows. */
-BenchCell makeBenchCell(const CellResult &res,
-                        std::vector<BenchRow> rows);
 
 /**
  * `--resume` support: load the reusable cells of the prior report at

@@ -97,13 +97,26 @@ shardCells(const std::vector<Cell> &grid, const ShardSpec &shard)
 namespace
 {
 
-CellResult
-runCell(const Cell &cell, const DriverOptions &opts)
+/** A report cell for @p cell with its provenance filled in. */
+BenchCell
+reportCell(const Cell &cell)
+{
+    BenchCell out;
+    out.index = cell.index;
+    out.id = cell.id;
+    out.workload = std::string(workloadName(cell.cfg.workload));
+    out.context = std::string(contextName(cell.cfg.context));
+    out.configHash = configHash(cell.cfg);
+    return out;
+}
+
+BenchCell
+runCell(const Cell &cell, const DriverOptions &opts,
+        const RowBuilder &build)
 {
     const auto t0 = std::chrono::steady_clock::now();
 
-    CellResult out;
-    out.cell = cell;
+    BenchCell out = reportCell(cell);
 
     ExperimentResult res;
     if (auto cached = traceCacheLoad(cell.cfg)) {
@@ -135,17 +148,20 @@ runCell(const Cell &cell, const DriverOptions &opts)
         return r;
     };
 
+    std::vector<RunOutput> runs;
     if (cell.cfg.context == SystemContext::MultiChip) {
-        out.runs.push_back(
+        runs.push_back(
             analyze(std::move(res.offChip), TraceKind::MultiChip));
     } else {
-        out.runs.push_back(
+        runs.push_back(
             analyze(std::move(res.offChip), TraceKind::SingleChip));
-        out.runs.push_back(analyze(opts.filterIntra
-                                       ? res.intraChipOnChip()
-                                       : std::move(res.intraChip),
-                                   TraceKind::IntraChip));
+        runs.push_back(analyze(opts.filterIntra
+                                   ? res.intraChipOnChip()
+                                   : std::move(res.intraChip),
+                               TraceKind::IntraChip));
     }
+    if (build)
+        out.rows = build(cell, runs);
 
     out.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -163,7 +179,7 @@ struct AttemptOutcome
 {
     bool ok = false;
     std::string error;
-    CellResult result;
+    BenchCell result;
 };
 
 /** Shared between the driver and a timed attempt thread: the thread
@@ -179,11 +195,13 @@ struct AttemptShared
 
 AttemptOutcome
 attemptCell(const Cell &cell, const DriverOptions &opts,
-            unsigned attempt)
+            const RowBuilder &build, unsigned attempt)
 {
     // One trace span per attempt: the whole cell — cache probe,
-    // simulation, analysis — with enough args to find it from the
-    // report row. Inner "simulate"/"analyze" spans nest under it.
+    // simulation, analysis, row building — with enough args to find
+    // it from the report row. Inner "simulate"/"analyze" spans and
+    // the row builder's own spans (e.g. "prefetch.evaluate") nest
+    // under it.
     telemetry::Span span("cell", "driver");
     if (span.active()) {
         span.arg("id", cell.id);
@@ -199,7 +217,7 @@ attemptCell(const Cell &cell, const DriverOptions &opts,
     try {
         if (opts.testCellHook)
             opts.testCellHook(cell, attempt);
-        out.result = runCell(cell, opts);
+        out.result = runCell(cell, opts, build);
         out.ok = true;
     } catch (const std::exception &e) {
         out.error = std::string("exception: ") + e.what();
@@ -221,10 +239,11 @@ attemptCell(const Cell &cell, const DriverOptions &opts,
  * abandoning the thread past the deadline — the simulator has no
  * cancellation points, so a stuck attempt keeps running detached and
  * publishes into shared state nobody reads); failures back off and
- * retry up to maxAttempts, then surface as a failure result.
+ * retry up to maxAttempts, then surface as a failure cell.
  */
-CellResult
-runCellWithRetry(const Cell &cell, const DriverOptions &opts)
+BenchCell
+runCellWithRetry(const Cell &cell, const DriverOptions &opts,
+                 const RowBuilder &build)
 {
     const auto t0 = std::chrono::steady_clock::now();
     RetryState retry(opts.retry);
@@ -234,14 +253,16 @@ runCellWithRetry(const Cell &cell, const DriverOptions &opts)
 
         AttemptOutcome out;
         if (opts.retry.timeoutMs <= 0) {
-            out = attemptCell(cell, opts, attempt);
+            out = attemptCell(cell, opts, build, attempt);
         } else {
             auto shared = std::make_shared<AttemptShared>();
-            // Copy cell + opts: on timeout the thread outlives this
-            // frame (and possibly the whole runCells call).
+            // Copy cell, opts and builder: on timeout the thread
+            // outlives this frame (and possibly the whole runCells
+            // call).
             std::thread worker(
-                [shared, cell, opts, attempt] {
-                    AttemptOutcome r = attemptCell(cell, opts, attempt);
+                [shared, cell, opts, build, attempt] {
+                    AttemptOutcome r =
+                        attemptCell(cell, opts, build, attempt);
                     std::lock_guard<std::mutex> lk(shared->mu);
                     shared->out = std::move(r);
                     shared->done = true;
@@ -294,8 +315,7 @@ runCellWithRetry(const Cell &cell, const DriverOptions &opts)
             break;
           }
           case RetryState::Decision::Kind::Failed: {
-            CellResult fail;
-            fail.cell = cell;
+            BenchCell fail = reportCell(cell);
             fail.failed = true;
             fail.failureCause = retry.failureCause();
             fail.attempts = retry.attempts();
@@ -334,9 +354,9 @@ claimKeyFor(const Cell &cell)
  * background thread heartbeats all actively running claims. Returns
  * only the cells this worker executed, in grid order.
  */
-std::vector<CellResult>
+std::vector<BenchCell>
 runCellsClaiming(const std::vector<Cell> &grid,
-                 const DriverOptions &opts)
+                 const DriverOptions &opts, const RowBuilder &build)
 {
     ClaimDir::Options copts;
     copts.dir = opts.claim.dir;
@@ -357,7 +377,7 @@ runCellsClaiming(const std::vector<Cell> &grid,
     std::atomic<long> claimsWon{0};
 
     std::mutex resMu;
-    std::vector<CellResult> results;
+    std::vector<BenchCell> results;
 
     // Heartbeat thread: beats every actively running claim so a slow
     // cell is not stolen mid-run. Workers register keys under hbMu.
@@ -410,8 +430,7 @@ runCellsClaiming(const std::vector<Cell> &grid,
                     // Claim directory unusable: record a failure row
                     // rather than spinning forever. merge() keeps the
                     // first copy if several workers hit this.
-                    CellResult fail;
-                    fail.cell = cell;
+                    BenchCell fail = reportCell(cell);
                     fail.failed = true;
                     fail.failureCause = "claim error: " + why;
                     fail.attempts = 0;
@@ -435,7 +454,7 @@ runCellsClaiming(const std::vector<Cell> &grid,
                     std::lock_guard<std::mutex> lk(hbMu);
                     active.push_back(key);
                 }
-                CellResult res = runCellWithRetry(cell, opts);
+                BenchCell res = runCellWithRetry(cell, opts, build);
                 {
                     std::lock_guard<std::mutex> lk(hbMu);
                     active.erase(std::remove(active.begin(),
@@ -476,23 +495,24 @@ runCellsClaiming(const std::vector<Cell> &grid,
     beater.join();
 
     std::sort(results.begin(), results.end(),
-              [](const CellResult &a, const CellResult &b) {
-                  return a.cell.index < b.cell.index;
+              [](const BenchCell &a, const BenchCell &b) {
+                  return a.index < b.index;
               });
     return results;
 }
 
 } // namespace
 
-std::vector<CellResult>
-runCells(const std::vector<Cell> &grid, const DriverOptions &opts)
+std::vector<BenchCell>
+runCells(const std::vector<Cell> &grid, const DriverOptions &opts,
+         const RowBuilder &build)
 {
     if (opts.claim.enabled())
-        return runCellsClaiming(grid, opts);
+        return runCellsClaiming(grid, opts, build);
 
     const std::vector<Cell> mine = shardCells(grid, opts.shard);
 
-    std::vector<CellResult> out(mine.size());
+    std::vector<BenchCell> out(mine.size());
     WorkPool pool(opts.jobs);
     for (std::size_t i = 0; i < mine.size(); ++i) {
         const std::int64_t submitUs =
@@ -510,7 +530,7 @@ runCells(const std::vector<Cell> &grid, const DriverOptions &opts)
                     "driver.queue_wait_ms",
                     static_cast<double>(startUs - submitUs) / 1e3);
             }
-            out[i] = runCellWithRetry(mine[i], opts);
+            out[i] = runCellWithRetry(mine[i], opts, build);
         });
     }
     pool.wait();
@@ -827,17 +847,29 @@ traceCacheLoad(const ExperimentConfig &cfg)
     if (stem.empty())
         return std::nullopt;
 
+    // Every failure is a miss: the caller simulates and re-stores the
+    // cell. An entry that exists but fails to load is also counted and
+    // logged as corrupt, so a damaged cache does not go unnoticed.
+    auto miss = [&stem](const std::string &why) {
+        telemetry::count("trace_cache.misses");
+        std::error_code ec;
+        if (std::filesystem::exists(stem + ".off.tst", ec)) {
+            telemetry::count("trace_cache.corrupt");
+            logWarn("trace-cache: corrupt entry " + stem + " (" + why +
+                    "); re-simulating");
+        }
+        return std::nullopt;
+    };
+
     auto reader = TraceReader::open(stem + ".off.tst");
-    if (!reader) {
-        telemetry::count("trace_cache.misses");
-        return std::nullopt;
-    }
+    if (!reader)
+        return miss(reader.error());
     auto offChip = reader->readAll();
+    if (!offChip)
+        return miss(offChip.error());
     auto registry = reader->functions();
-    if (!offChip || !registry) {
-        telemetry::count("trace_cache.misses");
-        return std::nullopt;
-    }
+    if (!registry)
+        return miss(registry.error());
 
     ExperimentResult res;
     res.offChip = std::move(*offChip);
@@ -845,10 +877,8 @@ traceCacheLoad(const ExperimentConfig &cfg)
     res.instructions = res.offChip.instructions;
     if (cfg.context == SystemContext::SingleChip) {
         auto intra = loadTrace(stem + ".l1.tst");
-        if (!intra) {
-            telemetry::count("trace_cache.misses");
-            return std::nullopt;
-        }
+        if (!intra)
+            return miss(intra.error());
         res.intraChip = std::move(*intra);
     }
     telemetry::count("trace_cache.hits");

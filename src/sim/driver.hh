@@ -109,7 +109,7 @@ std::vector<Cell> standardGrid(const std::vector<WorkloadKind> &workloads,
 std::vector<Cell> shardCells(const std::vector<Cell> &grid,
                              const ShardSpec &shard);
 
-/** One analyzed trace out of a cell. */
+/** One analyzed trace out of a cell, as handed to a RowBuilder. */
 struct RunOutput
 {
     WorkloadKind workload;
@@ -119,24 +119,55 @@ struct RunOutput
     ModuleProfile modules;
 };
 
-/** One executed cell: its traces, analyses and run diagnostics. */
-struct CellResult
+/** One printed table row with its machine-readable metrics. */
+struct BenchRow
 {
-    Cell cell;
-    /** MultiChip cell: {multi}. SingleChip cell: {single, intra}. */
-    std::vector<RunOutput> runs;
-    double wallSeconds = 0.0;          ///< execute + analyze wall time
-    std::uint64_t instructions = 0;    ///< simulated instructions
-    bool cacheHit = false;             ///< served from TSTREAM_TRACE_CACHE
-    /**
-     * Attempts exhausted (timeouts and/or exceptions): runs is empty
-     * and the cell becomes a structured failure row in the report
-     * instead of aborting the sweep.
-     */
-    bool failed = false;
-    std::string failureCause; ///< last failure, e.g. "timeout after 500ms"
-    unsigned attempts = 1;    ///< attempts consumed (1 = first try)
+    std::string table; ///< which printed table/panel the row is in
+    std::string trace; ///< trace kind or sweep key ("multi-chip", "4MB")
+    std::string label; ///< optional sub-key (e.g. origin category)
+    /** Optional prefetch-policy name (core/prefetch_policy.hh) for
+     *  rows produced under a named policy (ext_prefetcher --policy /
+     *  --budget-sweep); serialized only when non-empty, so documents
+     *  without policy rows are byte-identical to pre-field reports. */
+    std::string policy;
+    std::string text;  ///< the exact printed line (no trailing newline)
+    std::vector<std::pair<std::string, double>> metrics;
 };
+
+/**
+ * One executed cell as it lands in a bench report
+ * (sim/bench_report.hh): provenance, run diagnostics and the bench's
+ * table rows.
+ */
+struct BenchCell
+{
+    std::size_t index = 0;
+    std::string id;
+    std::string workload;
+    std::string context;
+    std::uint64_t configHash = 0;
+    bool cacheHit = false;    ///< served from TSTREAM_TRACE_CACHE
+    /** Execute + analyze + row-building wall time of the last
+     *  attempt; for a failed cell, the time spent on all attempts. */
+    double wallSeconds = 0.0;
+    std::uint64_t instructions = 0; ///< simulated instructions
+    unsigned attempts = 1; ///< execution attempts consumed
+    /** Failure row: the cell exhausted its retries; rows is empty and
+     *  failureCause says why (e.g. "timeout after 500ms"). */
+    bool failed = false;
+    std::string failureCause;
+    std::vector<BenchRow> rows;
+};
+
+/**
+ * Maps one cell's analyzed runs to its table rows. Multi-chip cells
+ * pass {multi}; single-chip cells pass {single, intra}. The builder
+ * runs inside the cell attempt, on a pool thread, so it must be safe
+ * to call concurrently; a throw fails the attempt like a simulation
+ * error would.
+ */
+using RowBuilder = std::function<std::vector<BenchRow>(
+    const Cell &cell, const std::vector<RunOutput> &runs)>;
 
 /** Dynamic work claiming across cooperating worker processes. */
 struct ClaimOptions
@@ -189,20 +220,23 @@ struct DriverOptions
  * opts.claim.enabled(), the subset of @p grid this worker wins by
  * racing on the claim directory (dying workers' cells are reclaimed
  * after the heartbeat TTL, so cooperating workers always drain the
- * whole grid between them). Results are returned in grid order
- * regardless of completion order; under claiming only the cells this
- * worker executed are returned (merge the per-worker reports to get
- * the full grid). Cells are served from the trace cache when
- * TSTREAM_TRACE_CACHE is set and the cell was recorded before (by any
- * shard, worker or bench).
+ * whole grid between them). Each attempt simulates (or loads from
+ * the trace cache when TSTREAM_TRACE_CACHE is set and any shard,
+ * worker or bench recorded the cell before), analyzes, and calls
+ * @p build on the analyzed runs; the traces never leave the attempt.
+ * An empty @p build yields cells without rows. Report cells come back
+ * in grid order regardless of completion order; under claiming only
+ * the cells this worker executed are returned (merge the per-worker
+ * reports to get the full grid).
  *
  * Fault injection: TSTREAM_CLAIM_DIE_AFTER=N makes the process
  * raise(SIGKILL) immediately after winning its N-th claim, before
  * running the cell — the deterministic "worker dies mid-cell" used by
  * the fleet tests and the CI smoke job.
  */
-std::vector<CellResult> runCells(const std::vector<Cell> &grid,
-                                 const DriverOptions &opts);
+std::vector<BenchCell> runCells(const std::vector<Cell> &grid,
+                                const DriverOptions &opts,
+                                const RowBuilder &build);
 
 // ---- bench command line -----------------------------------------------------
 
@@ -363,6 +397,9 @@ std::string traceCacheStem(const ExperimentConfig &cfg);
  * Reload a previously cached run for @p cfg. Returns nullopt when the
  * cache is disabled, the cell is absent, or a file fails to load (the
  * caller then simulates; a stale or corrupt cache is never fatal).
+ * Every load failure counts as `trace_cache.misses`; one whose entry
+ * exists but does not load also counts as `trace_cache.corrupt` and
+ * logs a warning.
  */
 std::optional<ExperimentResult>
 traceCacheLoad(const ExperimentConfig &cfg);

@@ -1,33 +1,9 @@
 #include "stats/histogram.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace tstream
 {
-
-std::string
-LogHistogram::render(const std::string &label) const
-{
-    std::string out = label + "\n";
-    char line[160];
-    for (unsigned d = 0; d < decades_; ++d) {
-        std::uint64_t decadeCount = 0;
-        for (unsigned s = 0; s < perDecade_; ++s)
-            decadeCount += counts_[d * perDecade_ + s];
-        const double frac =
-            total_ == 0 ? 0.0
-                        : static_cast<double>(decadeCount) /
-                              static_cast<double>(total_);
-        const int bar = static_cast<int>(frac * 50.0 + 0.5);
-        std::snprintf(line, sizeof(line), "  [1e%u,1e%u)  %6.1f%%  %s\n",
-                      d, d + 1, 100.0 * frac,
-                      std::string(static_cast<std::size_t>(bar), '#')
-                          .c_str());
-        out += line;
-    }
-    return out;
-}
 
 void
 WeightedCdf::sortSamples() const
@@ -67,21 +43,6 @@ WeightedCdf::cumulativeAt(std::uint64_t value) const
         run += w;
     }
     return static_cast<double>(run) / static_cast<double>(total_);
-}
-
-std::string
-WeightedCdf::render(const std::string &label,
-                    const std::vector<std::uint64_t> &points) const
-{
-    std::string out = label + "\n";
-    char line[160];
-    for (auto pt : points) {
-        std::snprintf(line, sizeof(line), "  len <= %-8llu  %6.1f%%\n",
-                      static_cast<unsigned long long>(pt),
-                      100.0 * cumulativeAt(pt));
-        out += line;
-    }
-    return out;
 }
 
 } // namespace tstream

@@ -1,13 +1,13 @@
 /**
  * @file
- * Log-bucketed histograms, weighted CDFs, and simple ASCII rendering —
- * the presentation layer for Figure 4-style distributions.
+ * Log-bucketed histograms and weighted CDFs for Figure 4-style
+ * distributions.
  *
  * Stream lengths and reuse distances span seven decades (Sections
  * 4.4-4.5), so the figures bucket them logarithmically and weight each
  * stream by its contribution (its length) rather than counting streams
- * equally; this header provides exactly those two operations for the
- * fig4 and ablation benches.
+ * equally; this header provides exactly those two operations for
+ * core/figures.hh.
  */
 
 #ifndef TSTREAM_STATS_HISTOGRAM_HH
@@ -15,7 +15,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace tstream
@@ -91,12 +90,6 @@ class LogHistogram
         return static_cast<double>(run) / static_cast<double>(total_);
     }
 
-    /**
-     * Render an ASCII profile: one row per decade boundary with a bar
-     * proportional to that decade's share.
-     */
-    std::string render(const std::string &label) const;
-
   private:
     unsigned decades_;
     unsigned perDecade_;
@@ -127,10 +120,6 @@ class WeightedCdf
     double cumulativeAt(std::uint64_t value) const;
 
     std::uint64_t total() const { return total_; }
-
-    /** Render cumulative values at the given points. */
-    std::string render(const std::string &label,
-                       const std::vector<std::uint64_t> &points) const;
 
   private:
     void sortSamples() const;

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <iterator>
 
+#include "core/figures.hh"
 #include "core/stream_analysis.hh"
 
 namespace tstream
@@ -195,14 +196,6 @@ splitIntervals(std::uint64_t lo, std::uint64_t hi, std::uint32_t n)
     return out;
 }
 
-/** Fig2's denominator, expression-for-expression. */
-double
-pctDenominator(const StreamStats &s)
-{
-    return std::max<double>(1.0,
-                            static_cast<double>(s.totalMisses));
-}
-
 /**
  * analyzeStreams() panics on cpu >= numCpus; a trace that decodes
  * cleanly can still carry such records (the cpu column is raw bytes),
@@ -328,26 +321,15 @@ buildStreamRows(const TraceMeta &meta,
     t.misses = matched;
     t.instructions = meta.instructions;
     t.numCpus = meta.numCpus;
-    const StreamStats s = analyzeStreams(t);
-    const double tot = pctDenominator(s);
-
     QueryRow row;
     row.table = "streams";
-    row.text = fmt("%9.1f%% %9.1f%% %11.1f%% %9.1f%%",
-                   100.0 * s.nonRepetitive / tot,
-                   100.0 * s.newStream / tot,
-                   100.0 * s.recurringStream / tot,
-                   100.0 * s.inStreamFraction());
-    // Metric names and value expressions match
-    // bench/fig2_stream_fraction.cc exactly, so an offline query row
-    // over the same records is bit-identical to the live bench row
+    // The same fig2Metrics() the fig2 bench uses, so an offline query
+    // row over the same records is bit-identical to the live bench row
     // (the tools e2e chain asserts it through the JSON layer).
-    row.metrics = {
-        {"non_repetitive_pct", 100.0 * s.nonRepetitive / tot},
-        {"new_stream_pct", 100.0 * s.newStream / tot},
-        {"recurring_stream_pct", 100.0 * s.recurringStream / tot},
-        {"in_streams_pct", 100.0 * s.inStreamFraction()},
-    };
+    row.metrics = fig2Metrics(analyzeStreams(t));
+    const auto &m = row.metrics;
+    row.text = fmt("%9.1f%% %9.1f%% %11.1f%% %9.1f%%", m[0].second,
+                   m[1].second, m[2].second, m[3].second);
     rows.push_back(std::move(row));
     return true;
 }

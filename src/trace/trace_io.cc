@@ -240,7 +240,8 @@ using FilePtr = std::unique_ptr<std::FILE, int (*)(std::FILE *)>;
 bool
 writeAll(std::FILE *f, const unsigned char *p, std::size_t n)
 {
-    return std::fwrite(p, 1, n, f) == n;
+    // An empty vector's data() may be null, which fwrite must not see.
+    return n == 0 || std::fwrite(p, 1, n, f) == n;
 }
 
 bool
@@ -257,32 +258,6 @@ fileSize(std::FILE *f)
     std::fseek(f, 0, SEEK_END);
     const long s = std::ftell(f);
     return s < 0 ? 0 : static_cast<std::uint64_t>(s);
-}
-
-// ---- v1 writer --------------------------------------------------------------
-
-bool
-saveTraceV1(const MissTrace &trace, const std::string &path)
-{
-    std::vector<unsigned char> buf;
-    buf.reserve(kV1HeaderBytes + trace.misses.size() * kV1RecordBytes);
-    buf.insert(buf.end(), kMagic, kMagic + 4);
-    putU32(buf, 1);
-    putU32(buf, trace.numCpus);
-    putU64(buf, trace.instructions);
-    putU64(buf, trace.misses.size());
-    for (const MissRecord &m : trace.misses) {
-        putU64(buf, m.seq);
-        putU64(buf, m.block);
-        buf.push_back(m.cpu);
-        buf.push_back(m.cls);
-        putU16(buf, m.fn);
-    }
-
-    FilePtr f(std::fopen(path.c_str(), "wb"), &std::fclose);
-    if (!f)
-        return false;
-    return writeAll(f.get(), buf.data(), buf.size());
 }
 
 // ---- v2 writer --------------------------------------------------------------
@@ -423,11 +398,7 @@ bool
 saveTrace(const MissTrace &trace, const std::string &path,
           const TraceWriteOptions &opts)
 {
-    if (opts.version == 1)
-        return saveTraceV1(trace, path);
-    if (opts.version == 2)
-        return saveTraceV2(trace, path, opts);
-    return false;
+    return saveTraceV2(trace, path, opts);
 }
 
 TraceResult<TraceReader>

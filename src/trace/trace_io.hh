@@ -11,8 +11,7 @@
  * the compatibility policy are in docs/TRACE_FORMAT.md):
  *
  *  - v1 (legacy): fixed-width header + 18-byte records. Read support
- *    is permanent; writing is available via TraceWriteOptions for
- *    tests and migration tooling.
+ *    is permanent; nothing writes v1 any more.
  *  - v2 (current): a self-describing header (per-field descriptors,
  *    experiment config hash, content kind, codec id), an optional
  *    function table (FnId -> name/category, so module attribution
@@ -134,12 +133,9 @@ struct TraceMeta
     std::vector<TraceChunk> chunks;
 };
 
-/** Options for saveTrace(). Defaults write the current v2 format. */
+/** Options for saveTrace(), which always writes the current v2 format. */
 struct TraceWriteOptions
 {
-    /** 2 (current) or 1 (legacy, for migration/compat tests). */
-    std::uint32_t version = 2;
-
     /** Chunk payload codec; falls back to raw per incompressible
      *  chunk (see trace/codec.hh). */
     CodecId codec = CodecId::Lz4;
@@ -278,8 +274,7 @@ class TraceReader
 
 /**
  * Serialize @p trace to @p path per @p opts.
- * @return false on I/O failure or unusable options (unknown version
- *         or codec id).
+ * @return false on I/O failure or an unknown codec id.
  */
 bool saveTrace(const MissTrace &trace, const std::string &path,
                const TraceWriteOptions &opts = {});

@@ -16,6 +16,8 @@
 #include <set>
 #include <thread>
 
+#include "obs/telemetry.hh"
+#include "run_capture.hh"
 #include "sim/driver.hh"
 #include "util/work_pool.hh"
 
@@ -372,6 +374,23 @@ TEST_F(ClaimArgsDeathTest, RejectsNonNumericKnobs)
                 "TSTREAM_CELL_RETRIES wants a positive integer");
 }
 
+void
+expectSameRuns(const std::vector<RunOutput> &a,
+               const std::vector<RunOutput> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t r = 0; r < a.size(); ++r) {
+        const MissTrace &x = a[r].trace;
+        const MissTrace &y = b[r].trace;
+        ASSERT_EQ(x.misses.size(), y.misses.size());
+        for (std::size_t i = 0; i < x.misses.size(); ++i) {
+            EXPECT_EQ(x.misses[i].block, y.misses[i].block);
+            EXPECT_EQ(x.misses[i].cpu, y.misses[i].cpu);
+            EXPECT_EQ(x.misses[i].cls, y.misses[i].cls);
+        }
+    }
+}
+
 class DriverRunTest : public ::testing::Test
 {
   protected:
@@ -390,24 +409,26 @@ TEST_F(DriverRunTest, ExecutesCellsInGridOrder)
     const auto grid = standardGrid(kTwoWorkloads, tinyBudgets());
     DriverOptions opts;
     opts.jobs = 2;
-    const auto results = runCells(grid, opts);
+    RunCapture capture;
+    const auto results = runCells(grid, opts, capture.builder());
     ASSERT_EQ(results.size(), grid.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_EQ(results[i].cell.index, grid[i].index);
-        EXPECT_EQ(results[i].cell.id, grid[i].id);
+        EXPECT_EQ(results[i].index, grid[i].index);
+        EXPECT_EQ(results[i].id, grid[i].id);
+        EXPECT_EQ(results[i].configHash, configHash(grid[i].cfg));
         EXPECT_GT(results[i].instructions, 0u);
         EXPECT_FALSE(results[i].cacheHit);
         // Multi-chip cells yield one trace, single-chip cells two.
-        const bool single = results[i].cell.cfg.context ==
-                            SystemContext::SingleChip;
-        ASSERT_EQ(results[i].runs.size(), single ? 2u : 1u);
-        EXPECT_EQ(results[i].runs[0].kind,
-                  single ? TraceKind::SingleChip
-                         : TraceKind::MultiChip);
+        const bool single =
+            grid[i].cfg.context == SystemContext::SingleChip;
+        const auto &runs = capture.runs(grid[i].index);
+        ASSERT_EQ(runs.size(), single ? 2u : 1u);
+        EXPECT_EQ(runs[0].kind,
+                  single ? TraceKind::SingleChip : TraceKind::MultiChip);
         if (single) {
-            EXPECT_EQ(results[i].runs[1].kind, TraceKind::IntraChip);
+            EXPECT_EQ(runs[1].kind, TraceKind::IntraChip);
         }
-        for (const RunOutput &r : results[i].runs) {
+        for (const RunOutput &r : runs) {
             EXPECT_FALSE(r.trace.misses.empty());
             EXPECT_GT(r.streams.totalMisses, 0u);
         }
@@ -424,8 +445,8 @@ TEST_F(DriverRunTest, ShardedRunsPartitionTheGrid)
     std::vector<std::string> ids;
     for (unsigned k = 0; k < 2; ++k) {
         opts.shard = ShardSpec{k, 2};
-        for (const CellResult &res : runCells(grid, opts))
-            ids.push_back(res.cell.id);
+        for (const BenchCell &res : runCells(grid, opts, {}))
+            ids.push_back(res.id);
     }
     ASSERT_EQ(ids.size(), grid.size());
     std::set<std::string> unique(ids.begin(), ids.end());
@@ -439,10 +460,13 @@ TEST_F(DriverRunTest, AnalysisTogglesPerRun)
     DriverOptions opts;
     opts.jobs = 1;
     opts.analyzeStreams = false;
-    const auto results = runCells(grid, opts);
+    RunCapture capture;
+    const auto results = runCells(grid, opts, capture.builder());
     ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].runs[0].streams.totalMisses, 0u);
-    EXPECT_EQ(results[0].runs[0].modules.total, 0u);
+    const auto &runs = capture.runs(0);
+    ASSERT_EQ(runs.size(), 1u);
+    EXPECT_EQ(runs[0].streams.totalMisses, 0u);
+    EXPECT_EQ(runs[0].modules.total, 0u);
 }
 
 TEST_F(DriverRunTest, TraceCacheCreatesMissingDirectoryAndHits)
@@ -460,12 +484,13 @@ TEST_F(DriverRunTest, TraceCacheCreatesMissingDirectoryAndHits)
     opts.jobs = 1;
     opts.analyzeStreams = false;
 
-    const auto first = runCells(grid, opts);
+    RunCapture simulated, cached;
+    const auto first = runCells(grid, opts, simulated.builder());
     ASSERT_EQ(first.size(), 2u);
     EXPECT_FALSE(first[0].cacheHit);
     EXPECT_FALSE(first[1].cacheHit);
 
-    const auto second = runCells(grid, opts);
+    const auto second = runCells(grid, opts, cached.builder());
     ::unsetenv("TSTREAM_TRACE_CACHE");
     ASSERT_EQ(second.size(), 2u);
     EXPECT_TRUE(second[0].cacheHit);
@@ -473,18 +498,97 @@ TEST_F(DriverRunTest, TraceCacheCreatesMissingDirectoryAndHits)
 
     // A cached cell reproduces the simulated one exactly.
     for (std::size_t c = 0; c < 2; ++c) {
-        ASSERT_EQ(second[c].runs.size(), first[c].runs.size());
         EXPECT_EQ(second[c].instructions, first[c].instructions);
-        for (std::size_t r = 0; r < first[c].runs.size(); ++r) {
-            const MissTrace &a = first[c].runs[r].trace;
-            const MissTrace &b = second[c].runs[r].trace;
-            ASSERT_EQ(a.misses.size(), b.misses.size());
-            for (std::size_t i = 0; i < a.misses.size(); ++i) {
-                EXPECT_EQ(a.misses[i].block, b.misses[i].block);
-                EXPECT_EQ(a.misses[i].cpu, b.misses[i].cpu);
-                EXPECT_EQ(a.misses[i].cls, b.misses[i].cls);
-            }
-        }
+        expectSameRuns(simulated.runs(c), cached.runs(c));
+    }
+}
+
+TEST_F(DriverRunTest, CorruptCacheEntryIsCountedAndRewritten)
+{
+    const std::string cacheDir =
+        testing::TempDir() + "/tstream_corrupt_cache_test";
+    std::filesystem::remove_all(cacheDir);
+    ::setenv("TSTREAM_TRACE_CACHE", cacheDir.c_str(), 1);
+
+    auto grid = standardGrid({WorkloadKind::Oltp}, tinyBudgets());
+    grid.resize(1); // multi-chip cell only
+    DriverOptions opts;
+    opts.jobs = 1;
+    opts.analyzeStreams = false;
+
+    RunCapture fresh, rerun;
+    const auto first = runCells(grid, opts, fresh.builder());
+    ASSERT_EQ(first.size(), 1u);
+    ASSERT_FALSE(first[0].cacheHit);
+
+    // Cut the stored off-chip trace in half: the entry exists but no
+    // longer loads.
+    const std::string off = traceCacheStem(grid[0].cfg) + ".off.tst";
+    const auto full = std::filesystem::file_size(off);
+    std::filesystem::resize_file(off, full / 2);
+
+    telemetry::enable(""); // in-memory counters, no exit artifacts
+    telemetry::reset();
+    const auto second = runCells(grid, opts, rerun.builder());
+    const std::uint64_t corrupt =
+        telemetry::counterValue("trace_cache.corrupt");
+    const std::uint64_t misses =
+        telemetry::counterValue("trace_cache.misses");
+    telemetry::disable();
+
+    EXPECT_EQ(corrupt, 1u);
+    EXPECT_EQ(misses, 1u);
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_FALSE(second[0].cacheHit);
+    EXPECT_EQ(second[0].instructions, first[0].instructions);
+    expectSameRuns(fresh.runs(0), rerun.runs(0));
+
+    // The re-simulated cell was stored again in full.
+    EXPECT_EQ(std::filesystem::file_size(off), full);
+    EXPECT_TRUE(traceCacheLoad(grid[0].cfg).has_value());
+    ::unsetenv("TSTREAM_TRACE_CACHE");
+}
+
+TEST_F(DriverRunTest, BuilderRunsInsideTheCell)
+{
+    auto grid = standardGrid({WorkloadKind::Oltp}, tinyBudgets());
+    grid.resize(1);
+    DriverOptions opts;
+    opts.jobs = 1;
+    opts.analyzeStreams = false;
+
+    const auto slept = runCells(
+        grid, opts, [](const Cell &, const std::vector<RunOutput> &) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(300));
+            return std::vector<BenchRow>{};
+        });
+    ASSERT_EQ(slept.size(), 1u);
+    // The builder's time is part of the cell's wall time.
+    EXPECT_GE(slept[0].wallSeconds, 0.3);
+}
+
+TEST_F(DriverRunTest, BuilderRowsLandInTheirCell)
+{
+    const auto grid = standardGrid(kTwoWorkloads, tinyBudgets());
+    DriverOptions opts;
+    opts.jobs = 3;
+    opts.analyzeStreams = false;
+    const auto cells = runCells(
+        grid, opts,
+        [](const Cell &cell, const std::vector<RunOutput> &runs) {
+            BenchRow row;
+            row.table = "t";
+            row.text = cell.id;
+            row.metrics = {{"runs", static_cast<double>(runs.size())}};
+            return std::vector<BenchRow>{row};
+        });
+    ASSERT_EQ(cells.size(), grid.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        ASSERT_EQ(cells[i].rows.size(), 1u);
+        EXPECT_EQ(cells[i].rows[0].text, grid[i].id);
+        const bool single =
+            grid[i].cfg.context == SystemContext::SingleChip;
+        EXPECT_EQ(cells[i].rows[0].metrics[0].second, single ? 2.0 : 1.0);
     }
 }
 

@@ -32,16 +32,17 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "core/figures.hh"
 #include "core/module_profile.hh"
 #include "core/prefetch_policy.hh"
 #include "core/stream_analysis.hh"
 #include "gen/workload_config.hh"
 #include "sim/bench_report.hh"
 #include "sim/experiment.hh"
-#include "stats/histogram.hh"
 #include "trace/query.hh"
 #include "trace/trace_io.hh"
 
@@ -88,7 +89,6 @@ usage(const char *msg)
         "                     misses vanish from the recorded trace\n"
         "  --prefetch-depth N replay depth for --prefetch-policy\n"
         "                     (default 8)\n"
-        "  --v1               write the legacy v1 format\n"
         "  -o FILE            output path (required)\n"
         "\n"
         "analyze sections (default: all that apply):\n"
@@ -289,8 +289,6 @@ cmdRecord(int argc, char **argv)
             cfg.prefetchLoop.ts.replayDepth =
                 static_cast<unsigned>(n);
             prefetchDepthSet = true;
-        } else if (arg == "--v1") {
-            opts.version = 1;
         } else if (arg == "-o" || arg == "--output") {
             if (!(v = value()))
                 return usage("missing -o value");
@@ -814,20 +812,14 @@ cmdAnalyze(const std::string &path,
                            m.kind == TraceContentKind::IntraChipOnChip;
         const std::size_t n =
             intra ? kNumIntraClasses : kNumMissClasses;
-        std::vector<std::uint64_t> cls(n, 0);
-        for (const MissRecord &r : trace.misses)
-            if (r.cls < n)
-                ++cls[r.cls];
-        const double tot = std::max<double>(
-            1.0, static_cast<double>(trace.misses.size()));
+        const MissClassMix mix = missClassMix(trace);
         std::printf("miss classes (fig1):\n");
         for (std::size_t c = 0; c < n; ++c)
             std::printf("  %-28s %9.1f%%  (%" PRIu64 ")\n",
                         std::string(clsName(m.kind,
                                             static_cast<std::uint8_t>(c)))
                             .c_str(),
-                        100.0 * static_cast<double>(cls[c]) / tot,
-                        cls[c]);
+                        mix.pct(c), mix.counts[c]);
         std::printf("\n");
     }
 
@@ -840,59 +832,44 @@ cmdAnalyze(const std::string &path,
     if (!needStreams)
         return 0;
     const StreamStats s = analyzeStreams(trace);
-    const double tot =
-        std::max<double>(1.0, static_cast<double>(s.totalMisses));
 
     if (wantSection(sections, "streams")) {
+        const FigureMetrics f = fig2Metrics(s);
         std::printf("stream fractions (fig2):\n");
         std::printf("  %10s %10s %12s %10s\n", "non-rep", "new",
                     "recurring", "in-streams");
         std::printf("  %9.1f%% %9.1f%% %11.1f%% %9.1f%%\n",
-                    100.0 * static_cast<double>(s.nonRepetitive) / tot,
-                    100.0 * static_cast<double>(s.newStream) / tot,
-                    100.0 * static_cast<double>(s.recurringStream) / tot,
-                    100.0 * s.inStreamFraction());
+                    f[0].second, f[1].second, f[2].second, f[3].second);
         std::printf("\n");
     }
 
     if (wantSection(sections, "strides")) {
+        const FigureMetrics f = fig3Metrics(s);
         std::printf("strides x streams (fig3):\n");
         std::printf("  %10s %10s %10s %10s %8s\n", "rep+str",
                     "rep+nonstr", "nonrep+str", "nonrep+ns", "strided");
-        std::printf(
-            "  %9.1f%% %9.1f%% %9.1f%% %9.1f%% %7.1f%%\n",
-            100.0 * static_cast<double>(s.stridedRepetitive) / tot,
-            100.0 * static_cast<double>(s.nonStridedRepetitive) / tot,
-            100.0 * static_cast<double>(s.stridedNonRepetitive) / tot,
-            100.0 * static_cast<double>(s.nonStridedNonRepetitive) / tot,
-            100.0 *
-                static_cast<double>(s.stridedRepetitive +
-                                    s.stridedNonRepetitive) /
-                tot);
+        std::printf("  %9.1f%% %9.1f%% %9.1f%% %9.1f%% %7.1f%%\n",
+                    f[0].second, f[1].second, f[2].second, f[3].second,
+                    f[4].second);
         std::printf("\n");
     }
 
     if (wantSection(sections, "lengths")) {
-        const std::vector<std::uint64_t> lenPoints = {
-            1, 2, 4, 8, 16, 32, 64, 128, 512, 1024, 4096};
-        WeightedCdf cdf;
-        for (const auto &[len, w] : s.lengthWeighted)
-            cdf.add(len, w);
+        const FigureMetrics len = fig4LengthMetrics(s);
         std::printf("stream length CDF (fig4 left):\n ");
-        for (auto p : lenPoints)
+        for (std::size_t i = 0; i < std::size(kFig4LengthPoints); ++i)
             std::printf(" <=%-4llu %5.1f%%",
-                        static_cast<unsigned long long>(p),
-                        100.0 * cdf.cumulativeAt(p));
+                        static_cast<unsigned long long>(
+                            kFig4LengthPoints[i]),
+                        len[i].second);
         std::printf("\n  median stream length: %.0f\n",
-                    s.medianStreamLength());
+                    len.back().second);
 
-        LogHistogram h(7, 1);
-        for (const auto &[dist, w] : s.reuseWeighted)
-            h.add(dist == 0 ? 1 : dist, w);
+        const FigureMetrics reuse = fig4ReuseMetrics(s);
         std::printf("reuse distance per decade (fig4 right):\n ");
-        for (int d = 0; d < 7; ++d)
+        for (int d = 0; d < kFig4ReuseDecades; ++d)
             std::printf(" 1e%d-1e%d %5.1f%%", d, d + 1,
-                        100.0 * h.fraction(static_cast<std::size_t>(d)));
+                        reuse[static_cast<std::size_t>(d)].second);
         std::printf("\n\n");
     }
 
