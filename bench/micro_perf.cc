@@ -2,9 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the analysis substrate: SEQUITUR
  * grammar construction, cache-hierarchy simulation (per-block and
- * batched engine runs), stride detection, the full stream-analysis
- * pipeline, and the scenario-subsystem hot paths (KV slab/LRU,
- * broker append/replay). BENCH_baseline.json at the repo root records
+ * batched engine runs, and whole quick-budget record cells), stride
+ * detection, the full stream-analysis pipeline, and the
+ * scenario-subsystem hot paths (KV slab/LRU, broker append/replay). BENCH_baseline.json at the repo root records
  * these series; `tstream-bench compare` gates regressions against it
  * (docs/BENCHMARKING.md).
  */
@@ -20,6 +20,7 @@
 #include "mem/singlechip.hh"
 #include "mq/broker.hh"
 #include "sim/engine.hh"
+#include "sim/experiment.hh"
 #include "util/rng.hh"
 
 namespace tstream
@@ -100,6 +101,35 @@ BM_SingleChipAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SingleChipAccess);
+
+void
+BM_RecordCellQuick(benchmark::State &state, WorkloadKind workload,
+                   SystemContext context)
+{
+    // One whole `record` cell at the quick-grid budgets: workload and
+    // kernel emulation driving the memory model end to end, the
+    // access mix the BM_*ChipAccess series (uniform random blocks, no
+    // page locality) leave out.
+    ExperimentConfig cfg;
+    cfg.workload = workload;
+    cfg.context = context;
+    cfg.warmupInstructions = kQuickBudgets.warmupInstructions;
+    cfg.measureInstructions = kQuickBudgets.measureInstructions;
+    cfg.scale = kQuickBudgets.scale;
+    std::uint64_t instructions = 0;
+    for (auto _ : state) {
+        const ExperimentResult r = runExperiment(cfg);
+        benchmark::DoNotOptimize(r.offChip.misses.data());
+        instructions += r.instructions;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
+}
+BENCHMARK_CAPTURE(BM_RecordCellQuick, dss_q1_single_chip,
+                  WorkloadKind::DssQ1, SystemContext::SingleChip)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RecordCellQuick, oltp_multi_chip, WorkloadKind::Oltp,
+                  SystemContext::MultiChip)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_EngineAccessRuns(benchmark::State &state)

@@ -20,8 +20,7 @@ MultiChipSystem::MultiChipSystem(const MultiChipConfig &cfg)
 const MultiChipSystem::DirEntry *
 MultiChipSystem::dirEntry(BlockId blk) const
 {
-    auto it = dir_.find(blk);
-    return it == dir_.end() ? nullptr : &it->second;
+    return dir_.find(blk);
 }
 
 std::optional<CohState>
@@ -51,13 +50,12 @@ MultiChipSystem::fillL2(unsigned node, BlockId blk, CohState st)
         // Maintain L1 subset of L2 within a node: back-invalidate.
         l1_[node].invalidate(evicted->block);
         // Update the directory: the node no longer caches the victim.
-        auto it = dir_.find(evicted->block);
-        if (it != dir_.end()) {
-            it->second.sharers &= ~(1u << node);
-            if (it->second.owner == static_cast<int>(node))
-                it->second.owner = -1; // implicit writeback to memory
-            if (it->second.sharers == 0 && it->second.owner < 0)
-                dir_.erase(it);
+        if (DirEntry *de = dir_.find(evicted->block)) {
+            de->sharers &= ~(1u << node);
+            if (de->owner == static_cast<int>(node))
+                de->owner = -1; // implicit writeback to memory
+            if (de->sharers == 0 && de->owner < 0)
+                dir_.erase(evicted->block);
         }
     }
 }
@@ -163,13 +161,12 @@ MultiChipSystem::handleIoWrite(const Access &acc, BlockId blk, int writer)
     tracker_.recordWrite(blk, writer);
 
     // I/O writes invalidate every cached copy and do not allocate.
-    auto it = dir_.find(blk);
-    if (it != dir_.end()) {
+    if (const DirEntry *de = dir_.find(blk)) {
         for (unsigned n = 0; n < cfg_.nodes; ++n)
-            if ((it->second.sharers & (1u << n)) ||
-                it->second.owner == static_cast<int>(n))
+            if ((de->sharers & (1u << n)) ||
+                de->owner == static_cast<int>(n))
                 invalidateNode(n, blk);
-        dir_.erase(it);
+        dir_.erase(blk);
     }
 }
 

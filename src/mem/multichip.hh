@@ -13,9 +13,9 @@
 #define TSTREAM_MEM_MULTICHIP_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "mem/block_map.hh"
 #include "mem/cache.hh"
 #include "mem/memory_system.hh"
 #include "mem/writer_tracker.hh"
@@ -70,7 +70,7 @@ class MultiChipSystem : public MemorySystem
     MultiChipConfig cfg_;
     std::vector<Cache> l1_;
     std::vector<Cache> l2_;
-    std::unordered_map<BlockId, DirEntry> dir_;
+    BlockMap<DirEntry> dir_;
     WriterTracker tracker_;
 };
 

@@ -19,10 +19,10 @@
 #define TSTREAM_MEM_WRITER_TRACKER_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/address.hh"
+#include "mem/block_map.hh"
 #include "trace/record.hh"
 
 namespace tstream
@@ -67,19 +67,18 @@ class WriterTracker
     MissClass
     classifyRead(BlockId blk, unsigned reader)
     {
-        auto [it, fresh] = info_.try_emplace(blk);
-        Info &bi = it->second;
+        auto [bi, fresh] = info_.tryEmplace(blk);
+        auto [last, unread] = lastRead_[reader].tryEmplace(blk);
 
         MissClass cls;
-        auto rit = lastRead_[reader].find(blk);
-        if (fresh || !bi.touched) {
+        if (fresh || !bi->touched) {
             cls = MissClass::Compulsory;
-        } else if (rit == lastRead_[reader].end()) {
+        } else if (unread) {
             cls = MissClass::Replacement; // cold at this reader
-        } else if (bi.version > rit->second) {
-            if (bi.writer == kWriterDma || bi.writer == kWriterCopyout)
+        } else if (bi->version > *last) {
+            if (bi->writer == kWriterDma || bi->writer == kWriterCopyout)
                 cls = MissClass::IoCoherence;
-            else if (bi.writer != static_cast<int>(reader))
+            else if (bi->writer != static_cast<int>(reader))
                 cls = MissClass::Coherence;
             else
                 cls = MissClass::Replacement;
@@ -87,11 +86,8 @@ class WriterTracker
             cls = MissClass::Replacement;
         }
 
-        bi.touched = true;
-        if (rit == lastRead_[reader].end())
-            lastRead_[reader].emplace(blk, bi.version);
-        else
-            rit->second = bi.version;
+        bi->touched = true;
+        *last = bi->version;
         return cls;
     }
 
@@ -104,15 +100,13 @@ class WriterTracker
     bool
     coherenceCaused(BlockId blk, unsigned reader) const
     {
-        auto it = info_.find(blk);
-        if (it == info_.end() || !it->second.touched)
+        const Info *bi = info_.find(blk);
+        if (!bi || !bi->touched)
             return false;
-        const Info &bi = it->second;
-        auto rit = lastRead_[reader].find(blk);
-        if (rit == lastRead_[reader].end())
+        const std::uint32_t *last = lastRead_[reader].find(blk);
+        if (!last)
             return false; // never read here: cannot be an invalidation
-        return bi.version > rit->second &&
-               bi.writer != static_cast<int>(reader);
+        return bi->version > *last && bi->writer != static_cast<int>(reader);
     }
 
     /** Mark a block touched without classifying (e.g. store misses). */
@@ -133,8 +127,8 @@ class WriterTracker
         bool touched = false;
     };
 
-    std::unordered_map<BlockId, Info> info_;
-    std::vector<std::unordered_map<BlockId, std::uint32_t>> lastRead_;
+    BlockMap<Info> info_;
+    std::vector<BlockMap<std::uint32_t>> lastRead_;
 };
 
 } // namespace tstream

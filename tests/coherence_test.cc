@@ -9,6 +9,7 @@
 
 #include "mem/multichip.hh"
 #include "mem/singlechip.hh"
+#include "util/rng.hh"
 
 namespace tstream
 {
@@ -195,6 +196,77 @@ TEST(MultiChip, SequenceNumbersAreMonotonic)
     const auto &ms = sys.offChipTrace().misses;
     for (std::size_t i = 1; i < ms.size(); ++i)
         EXPECT_GT(ms[i].seq, ms[i - 1].seq);
+}
+
+/**
+ * The directory/cache invariants of the MSI model at @p blk, read only
+ * through the public probes: L1 is a subset of L2 in every node, a
+ * node holds the block in L2 exactly when its sharer bit is set, it
+ * owns the block exactly when its L2 copy is Modified, and no
+ * directory entry outlives its last holder.
+ */
+::testing::AssertionResult
+directoryAgrees(const MultiChipSystem &sys, unsigned nodes, BlockId blk)
+{
+    const auto *de = sys.dirEntry(blk);
+    if (de && de->sharers == 0 && de->owner < 0)
+        return ::testing::AssertionFailure()
+               << "blk " << blk << ": entry with no sharers and no owner";
+    for (unsigned n = 0; n < nodes; ++n) {
+        const auto l1 = sys.probeL1(n, blk);
+        const auto l2 = sys.probeL2(n, blk);
+        const bool sharer = de && (de->sharers & (1u << n));
+        const bool owner = de && de->owner == static_cast<int>(n);
+        if (l1 && !l2)
+            return ::testing::AssertionFailure()
+                   << "blk " << blk << " node " << n << ": in L1, not L2";
+        if (l2.has_value() != sharer)
+            return ::testing::AssertionFailure()
+                   << "blk " << blk << " node " << n << ": L2 resident "
+                   << l2.has_value() << " but sharer bit " << sharer;
+        if (owner != (l2 == CohState::Modified))
+            return ::testing::AssertionFailure()
+                   << "blk " << blk << " node " << n << ": owner " << owner
+                   << " but L2 Modified " << (l2 == CohState::Modified);
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(MultiChip, DirectoryAgreesWithCacheResidency)
+{
+    // Small caches so that a seeded mix over 4096 blocks keeps
+    // evicting, invalidating and downgrading.
+    constexpr unsigned kNodes = 4;
+    constexpr std::uint64_t kBlocks = 4096;
+    MultiChipConfig cfg;
+    cfg.nodes = kNodes;
+    cfg.l1 = CacheConfig{4 * 1024, 2};
+    cfg.l2 = CacheConfig{16 * 1024, 4};
+    MultiChipSystem sys(cfg);
+
+    Rng rng(2008);
+    const BlockId base = blockOf(kA);
+    for (unsigned i = 0; i < 40000; ++i) {
+        const unsigned cpu = static_cast<unsigned>(rng.below(kNodes));
+        const Addr a = blockBase(base + rng.below(kBlocks));
+        const std::uint64_t op = rng.below(100);
+        if (op < 60)
+            sys.access(read(cpu, a));
+        else if (op < 90)
+            sys.access(write(cpu, a));
+        else if (op < 95)
+            sys.access(dma(a));
+        else
+            sys.access(nonAlloc(cpu, a));
+
+        ASSERT_TRUE(directoryAgrees(sys, kNodes, blockOf(a)))
+            << "access " << i;
+        if (i % 1000 == 999) {
+            for (BlockId b = base; b < base + kBlocks; ++b)
+                ASSERT_TRUE(directoryAgrees(sys, kNodes, b))
+                    << "sweep after access " << i;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
