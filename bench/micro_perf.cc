@@ -3,14 +3,16 @@
  * google-benchmark microbenchmarks of the analysis substrate: SEQUITUR
  * grammar construction, cache-hierarchy simulation (per-block and
  * batched engine runs, and whole quick-budget record cells), stride
- * detection, the full stream-analysis pipeline, and the
- * scenario-subsystem hot paths (KV slab/LRU, broker append/replay). BENCH_baseline.json at the repo root records
- * these series; `tstream-bench compare` gates regressions against it
+ * detection, the full stream-analysis pipeline, offline prefetch-policy
+ * scoring, and the scenario-subsystem hot paths (KV slab/LRU, broker
+ * append/replay). BENCH_baseline.json at the repo root records these
+ * series; `tstream-bench compare` gates regressions against it
  * (docs/BENCHMARKING.md).
  */
 
 #include <benchmark/benchmark.h>
 
+#include "core/prefetch_policy.hh"
 #include "core/sequitur.hh"
 #include "core/stream_analysis.hh"
 #include "core/stride.hh"
@@ -243,6 +245,37 @@ BM_FullStreamAnalysis(benchmark::State &state)
                             static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_FullStreamAnalysis)->Arg(100000)->Arg(500000);
+
+void
+BM_EvaluatePolicy(benchmark::State &state, const char *policy,
+                  unsigned depth)
+{
+    // Offline scoring of one policy over a seeded 16-CPU trace with
+    // temporal streams: the per-miss buffer check, train and drain
+    // step ext_prefetcher repeats for every row.
+    const std::size_t n = 200000;
+    const auto blocks = makeInput(n, 1 << 20, 0.4);
+    MissTrace trace;
+    trace.numCpus = 16;
+    Rng rng(13);
+    for (std::size_t i = 0; i < n; ++i)
+        trace.misses.push_back(MissRecord{
+            i, blocks[i], static_cast<CpuId>(rng.below(16)), 0, 0});
+    PrefetchPolicyParams params;
+    params.ts.replayDepth = depth;
+    auto p = makePrefetchPolicy(policy, params);
+    for (auto _ : state) {
+        const TsPrefetcherStats st =
+            evaluatePolicy(trace, *p, params.ts.bufferBlocks);
+        benchmark::DoNotOptimize(st.covered);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(n));
+}
+BENCHMARK_CAPTURE(BM_EvaluatePolicy, fixed_d8, "fixed", 8)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EvaluatePolicy, hybrid, "hybrid", 8)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace tstream

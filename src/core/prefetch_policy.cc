@@ -20,9 +20,13 @@ void
 FixedDepthPolicy::reset(unsigned numCpus)
 {
     ncpu_ = std::max(1u, numCpus);
-    history_.assign(ncpu_, History{});
-    for (History &h : history_)
-        h.ring.assign(cfg_.historyEntries, 0);
+    // Rings start empty and grow by append (see append()); a reused
+    // policy keeps their capacity.
+    history_.resize(ncpu_);
+    for (History &h : history_) {
+        h.ring.clear();
+        h.head = 0;
+    }
     index_.clear();
     pending_.clear();
     lookups_ = 0;
@@ -35,13 +39,16 @@ FixedDepthPolicy::depthFor(std::uint32_t home) const
     return cfg_.replayDepth;
 }
 
-void
+std::uint64_t
 FixedDepthPolicy::append(unsigned cpu, BlockId blk)
 {
     History &h = history_[cpu];
-    h.ring[static_cast<std::size_t>(h.head % cfg_.historyEntries)] = blk;
-    index_[blk] = HistoryPos{static_cast<std::uint32_t>(cpu), h.head};
-    h.head++;
+    if (h.ring.size() < cfg_.historyEntries)
+        h.ring.push_back(blk); // still filling: head == ring.size()
+    else
+        h.ring[static_cast<std::size_t>(h.head % cfg_.historyEntries)] =
+            blk;
+    return h.head++;
 }
 
 void
@@ -49,36 +56,38 @@ FixedDepthPolicy::observeMiss(const MissRecord &m)
 {
     const unsigned cpu = m.cpu < ncpu_ ? m.cpu : 0;
 
-    // Stream lookup: where did this block last appear?
-    auto found = index_.find(m.block);
-    if (found != index_.end() &&
-        (cfg_.crossCpu || found->second.cpu == cpu)) {
-        const HistoryPos &pos = found->second;
-        const History &h = history_[pos.cpu];
+    // Stream lookup: where did this block last appear? The entry is
+    // claimed here and overwritten below, so one probe serves both.
+    const auto [last, fresh] = index_.tryEmplace(m.block);
+    if (!fresh && (cfg_.crossCpu || last->cpu == cpu)) {
+        const std::uint32_t home = last->cpu;
+        const std::uint64_t at = last->pos;
+        const History &h = history_[home];
         // The located occurrence must still be inside the ring.
-        if (h.head - pos.pos <= cfg_.historyEntries) {
+        if (h.head - at <= cfg_.historyEntries) {
             lookups_++;
             // Replay the addresses that followed it, up to the depth,
             // staying within what has actually been recorded. The tag
             // is the stream's home CPU, so usefulness feedback reaches
             // the right per-stream accuracy window in the adaptive
             // subclass.
-            const std::uint32_t depth = depthFor(pos.cpu);
+            const std::uint32_t depth = depthFor(home);
             for (std::uint32_t k = 1; k <= depth; ++k) {
-                const std::uint64_t next = pos.pos + k;
+                const std::uint64_t next = at + k;
                 if (next >= h.head)
                     break;
                 pending_.push_back(PrefetchCandidate{
                     h.ring[static_cast<std::size_t>(
                         next % cfg_.historyEntries)],
-                    pos.cpu});
+                    home});
             }
         }
     }
 
     // Record the miss in this CPU's history (after the replay read the
     // pre-miss state, as in the pre-API model).
-    append(cpu, m.block);
+    last->pos = append(cpu, m.block);
+    last->cpu = cpu;
 }
 
 void
@@ -246,13 +255,12 @@ void
 HybridPolicy::drainPrefetches(std::vector<PrefetchCandidate> &out)
 {
     for (std::size_t i = 0; i < parts_.size(); ++i) {
-        scratch_.clear();
-        parts_[i]->drainPrefetches(scratch_);
-        for (const PrefetchCandidate &c : scratch_)
-            out.push_back(PrefetchCandidate{
-                c.block,
-                (static_cast<std::uint32_t>(i) << kTagShift) |
-                    (c.tag & ((1u << kTagShift) - 1))});
+        // Drain straight into @p out, then namespace the new tags.
+        const std::size_t first = out.size();
+        parts_[i]->drainPrefetches(out);
+        for (std::size_t j = first; j < out.size(); ++j)
+            out[j].tag = (static_cast<std::uint32_t>(i) << kTagShift) |
+                         (out[j].tag & ((1u << kTagShift) - 1));
     }
 }
 
@@ -316,18 +324,24 @@ makePrefetchPolicy(std::string_view name,
 namespace
 {
 
-/** One buffered prefetch: the block plus its policy tag. */
-struct BufferedPrefetch
-{
-    BlockId block;
-    std::uint32_t tag;
-};
-
-/** Per-CPU prefetch buffer: FIFO set of predicted blocks. */
+/**
+ * Per-CPU prefetch buffer: the live entries blocks[head, tail) and
+ * their tags, in FIFO order. Both arrays are sized once, to twice the
+ * buffer capacity: displacement advances head, and the dead front is
+ * compacted away once it spans a whole buffer, so no miss allocates.
+ */
 struct Buffer
 {
-    std::vector<BufferedPrefetch> fifo;
-    std::unordered_map<BlockId, std::uint32_t> present; // -> count
+    explicit Buffer(std::uint32_t capacity)
+        : blocks(2 * std::size_t{capacity}),
+          tags(2 * std::size_t{capacity})
+    {
+    }
+
+    std::vector<BlockId> blocks;
+    std::vector<std::uint32_t> tags;
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
 };
 
 /**
@@ -343,7 +357,8 @@ class Harness
     Harness(PrefetchPolicy &policy, std::uint32_t bufferBlocks,
             unsigned numCpus)
         : policy_(policy), bufferBlocks_(bufferBlocks),
-          ncpu_(std::max(1u, numCpus)), buffers_(ncpu_)
+          ncpu_(std::max(1u, numCpus)),
+          buffers_(ncpu_, Buffer(bufferBlocks))
     {
         panicIf(bufferBlocks_ == 0, "prefetch harness: empty buffer");
         policy_.reset(ncpu_);
@@ -357,24 +372,7 @@ class Harness
         Buffer &buf = buffers_[cpu];
         stats_.misses++;
 
-        // Demand check against the prefetch buffer.
-        bool covered = false;
-        auto hit = buf.present.find(m.block);
-        if (hit != buf.present.end()) {
-            covered = true;
-            stats_.covered++;
-            stats_.useful += hit->second;
-            // Consume every buffered copy, crediting its issuer.
-            for (auto it = buf.fifo.begin(); it != buf.fifo.end();) {
-                if (it->block == m.block) {
-                    policy_.noteUseful(it->tag);
-                    it = buf.fifo.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-            buf.present.erase(hit);
-        }
+        const bool covered = consume(buf, m.block);
 
         // Train on every miss (covered or not), then issue.
         policy_.observeMiss(m);
@@ -395,20 +393,56 @@ class Harness
     }
 
   private:
+    /**
+     * Demand check: if @p blk is buffered, consume every copy, crediting
+     * each issuer in FIFO order, and close the gaps stably.
+     * @return whether the buffer held @p blk.
+     */
+    bool
+    consume(Buffer &buf, BlockId blk)
+    {
+        std::uint32_t i = buf.head;
+        while (i < buf.tail && buf.blocks[i] != blk)
+            ++i;
+        if (i == buf.tail)
+            return false;
+        stats_.covered++;
+        std::uint32_t kept = i;
+        for (; i < buf.tail; ++i) {
+            if (buf.blocks[i] == blk) {
+                stats_.useful++;
+                policy_.noteUseful(buf.tags[i]);
+            } else {
+                buf.blocks[kept] = buf.blocks[i];
+                buf.tags[kept] = buf.tags[i];
+                ++kept;
+            }
+        }
+        buf.tail = kept;
+        return true;
+    }
+
     void
     insert(Buffer &buf, const PrefetchCandidate &c)
     {
         stats_.issued++;
-        buf.fifo.push_back(BufferedPrefetch{c.block, c.tag});
-        buf.present[c.block]++;
+        buf.blocks[buf.tail] = c.block;
+        buf.tags[buf.tail] = c.tag;
+        buf.tail++;
         // FIFO displacement.
-        if (buf.fifo.size() > bufferBlocks_) {
-            const BlockId victim = buf.fifo.front().block;
-            buf.fifo.erase(buf.fifo.begin());
+        if (buf.tail - buf.head > bufferBlocks_) {
+            buf.head++;
             stats_.evictions++;
-            auto it = buf.present.find(victim);
-            if (it != buf.present.end() && --it->second == 0)
-                buf.present.erase(it);
+        }
+        // A whole buffer of dead front entries: slide the live ones
+        // down so the next inserts stay inside the arrays.
+        if (buf.head == bufferBlocks_) {
+            std::copy(buf.blocks.begin() + buf.head,
+                      buf.blocks.begin() + buf.tail, buf.blocks.begin());
+            std::copy(buf.tags.begin() + buf.head,
+                      buf.tags.begin() + buf.tail, buf.tags.begin());
+            buf.tail -= buf.head;
+            buf.head = 0;
         }
     }
 

@@ -47,11 +47,11 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/stride.hh"
 #include "core/ts_prefetcher.hh"
+#include "mem/block_map.hh"
 #include "mem/memory_system.hh"
 #include "trace/record.hh"
 
@@ -134,6 +134,10 @@ class PrefetchPolicy
  * replay of the @c replayDepth successors. Bit-identical to the
  * pre-API TsPrefetcher::evaluate() when driven by evaluatePolicy()
  * with the same TsPrefetcherConfig.
+ *
+ * The index is a BlockMap (the memory model's page-chunked table), and
+ * each ring grows by append up to @c historyEntries instead of being
+ * zero-filled on reset(); storageBytes() still charges the full ring.
  */
 class FixedDepthPolicy : public PrefetchPolicy
 {
@@ -154,7 +158,8 @@ class FixedDepthPolicy : public PrefetchPolicy
         std::uint64_t pos; ///< absolute append index into the history
     };
 
-    /** Per-CPU circular history of miss blocks. */
+    /** Per-CPU circular history of miss blocks. The ring grows by
+     *  append until it holds historyEntries blocks, then wraps. */
     struct History
     {
         std::vector<BlockId> ring;
@@ -165,12 +170,13 @@ class FixedDepthPolicy : public PrefetchPolicy
      *  adaptive subclass modulates this per home CPU. */
     virtual std::uint32_t depthFor(std::uint32_t home) const;
 
-    void append(unsigned cpu, BlockId blk);
+    /** Record @p blk in @p cpu's history. @return its position. */
+    std::uint64_t append(unsigned cpu, BlockId blk);
 
     TsPrefetcherConfig cfg_;
     unsigned ncpu_ = 0;
     std::vector<History> history_;
-    std::unordered_map<BlockId, HistoryPos> index_;
+    BlockMap<HistoryPos> index_;
     std::vector<PrefetchCandidate> pending_;
     std::uint64_t lookups_ = 0;
 };
@@ -289,7 +295,6 @@ class HybridPolicy : public PrefetchPolicy
     static constexpr unsigned kTagShift = 24;
 
     std::vector<std::unique_ptr<PrefetchPolicy>> parts_;
-    std::vector<PrefetchCandidate> scratch_;
 };
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
  * @file
  * BlockMap: the block-keyed table behind the memory model's
  * per-block state (writer history, per-reader read versions, the
- * multi-chip directory).
+ * multi-chip directory) and the temporal prefetcher's stream index.
  *
  * The layout follows the traffic: the blocks of one 4 KB page are
  * mostly touched together (sequential scans, page-sized I/O buffers,
@@ -16,7 +16,7 @@
  *  - chunks: held in a std::deque, so a V& stays valid across later
  *    inserts (callers hold an entry while inserting others);
  *  - erase clears the presence bit only: a chunk lives until the map
- *    is destroyed, so the index never needs tombstones.
+ *    is cleared or destroyed, so the index never needs tombstones.
  *
  * A BlockMap is not safe for concurrent use, not even for concurrent
  * reads: find() updates the memo.
@@ -101,6 +101,19 @@ class BlockMap
 
     /** Number of entries present. */
     std::size_t size() const { return size_; }
+
+    /** Remove every entry: drop all chunks and shrink the index back
+     *  to its initial size, so a reused map starts empty. */
+    void
+    clear()
+    {
+        chunks_.clear();
+        index_ = std::vector<Slot>(kInitialSlots);
+        shift_ = 64 - kInitialBits;
+        size_ = 0;
+        memoPage_ = kNoPage;
+        memoChunk_ = nullptr;
+    }
 
   private:
     static constexpr unsigned kSlotBits = kPageBits - kBlockBits;

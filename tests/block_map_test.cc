@@ -3,7 +3,8 @@
  * Unit tests for BlockMap, the page-chunked block table under the
  * memory model: a seeded differential against std::unordered_map over
  * mixed operation sequences, keys spread across the simulated
- * segments, erase/re-insert semantics, and reference stability.
+ * segments, erase/re-insert and clear semantics, and reference
+ * stability.
  */
 
 #include <gtest/gtest.h>
@@ -167,6 +168,31 @@ TEST(BlockMap, EraseOfAbsentKeyReturnsFalse)
     EXPECT_TRUE(map.erase(0));
     EXPECT_FALSE(map.erase(0));   // already erased
     EXPECT_EQ(map.size(), 0u);
+}
+
+TEST(BlockMap, ClearForgetsEveryEntry)
+{
+    // Keys over many pages (so the index has grown), the last one
+    // leaving its page in the memo.
+    BlockMap<Entry> map;
+    std::vector<BlockId> keys;
+    for (BlockId p = 0; p < 300; ++p)
+        keys.push_back(blockOf(seg::kBufferPool) + p * kBlocksPerPage +
+                       p % kBlocksPerPage);
+    for (BlockId k : keys)
+        map[k] = Entry{7, 1};
+    ASSERT_NE(map.find(keys.back()), nullptr); // memoized page
+    map.clear();
+
+    EXPECT_EQ(map.size(), 0u);
+    for (BlockId k : keys)
+        EXPECT_EQ(map.find(k), nullptr) << "blk " << k;
+
+    auto [v, fresh] = map.tryEmplace(keys.back());
+    EXPECT_TRUE(fresh);
+    EXPECT_EQ(*v, Entry{});
+    EXPECT_EQ(map[keys.front()], Entry{});
+    EXPECT_EQ(map.size(), 2u);
 }
 
 TEST(BlockMap, HeldReferenceSurvivesInserts)

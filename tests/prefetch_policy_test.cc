@@ -2,17 +2,22 @@
  * @file
  * Tests for the pluggable prefetch-policy API (core/prefetch_policy.hh).
  *
- * The differential suite embeds a frozen copy of the pre-API
- * TsPrefetcher::evaluate() / evaluateHybrid() algorithms and demands
- * *exact* stat equality against FixedDepthPolicy / HybridPolicy driven
- * through evaluatePolicy() — the bit-identity contract of the
- * redesign. On top of that: adaptive depth throttling, storage
- * accounting, the registry, and the prefetcher-in-the-loop engine
- * (covered misses vanish from the recorded trace; the remainder is the
- * uncovered subsequence of the baseline run).
+ * The differential suite embeds two frozen references and demands
+ * *exact* stat equality against them: a copy of the pre-API
+ * TsPrefetcher::evaluate() / evaluateHybrid() algorithms (against
+ * FixedDepthPolicy / HybridPolicy driven through evaluatePolicy()),
+ * and the node-map harness that preceded the flat FIFO buffers
+ * (against evaluatePolicy() for every registered policy, including
+ * buffers of one to three blocks). On top of that: adaptive depth
+ * throttling, storage accounting, the registry, and the
+ * prefetcher-in-the-loop engine (covered misses vanish from the
+ * recorded trace; the remainder is the uncovered subsequence of the
+ * baseline run).
  */
 
 #include <gtest/gtest.h>
+
+#include <unordered_map>
 
 #include "core/prefetch_policy.hh"
 #include "core/stride.hh"
@@ -68,6 +73,7 @@ struct RefPrefetcher
         if (buf.fifo.size() > cfg_.bufferBlocks) {
             const BlockId victim = buf.fifo.front();
             buf.fifo.erase(buf.fifo.begin());
+            stats.evictions++;
             auto it = buf.present.find(victim);
             if (it != buf.present.end() && --it->second == 0)
                 buf.present.erase(it);
@@ -179,6 +185,82 @@ struct RefPrefetcher
 };
 
 // ---------------------------------------------------------------------------
+// Frozen reference: the node-map harness, verbatim — a vector FIFO per
+// CPU with front-erase displacement, plus an unordered_map presence
+// count. Policy-agnostic, so it checks the flat harness for every
+// registered policy.
+// ---------------------------------------------------------------------------
+
+struct RefHarness
+{
+    struct BufferedPrefetch
+    {
+        BlockId block;
+        std::uint32_t tag;
+    };
+    struct Buffer
+    {
+        std::vector<BufferedPrefetch> fifo;
+        std::unordered_map<BlockId, std::uint32_t> present;
+    };
+
+    RefHarness(PrefetchPolicy &policy, std::uint32_t bufferBlocks)
+        : policy_(policy), bufferBlocks_(bufferBlocks)
+    {
+    }
+
+    TsPrefetcherStats
+    evaluate(const MissTrace &trace)
+    {
+        const unsigned ncpu = std::max(1u, trace.numCpus);
+        policy_.reset(ncpu);
+        std::vector<Buffer> buffers(ncpu);
+        TsPrefetcherStats stats;
+        for (const MissRecord &m : trace.misses) {
+            const unsigned cpu = m.cpu < ncpu ? m.cpu : 0;
+            Buffer &buf = buffers[cpu];
+            stats.misses++;
+            auto hit = buf.present.find(m.block);
+            if (hit != buf.present.end()) {
+                stats.covered++;
+                stats.useful += hit->second;
+                for (auto it = buf.fifo.begin(); it != buf.fifo.end();) {
+                    if (it->block == m.block) {
+                        policy_.noteUseful(it->tag);
+                        it = buf.fifo.erase(it);
+                    } else {
+                        ++it;
+                    }
+                }
+                buf.present.erase(hit);
+            }
+            policy_.observeMiss(m);
+            scratch_.clear();
+            policy_.drainPrefetches(scratch_);
+            for (const PrefetchCandidate &c : scratch_) {
+                stats.issued++;
+                buf.fifo.push_back(BufferedPrefetch{c.block, c.tag});
+                buf.present[c.block]++;
+                if (buf.fifo.size() > bufferBlocks_) {
+                    const BlockId victim = buf.fifo.front().block;
+                    buf.fifo.erase(buf.fifo.begin());
+                    stats.evictions++;
+                    auto it = buf.present.find(victim);
+                    if (it != buf.present.end() && --it->second == 0)
+                        buf.present.erase(it);
+                }
+            }
+        }
+        stats.streamLookups = policy_.streamLookups();
+        return stats;
+    }
+
+    PrefetchPolicy &policy_;
+    std::uint32_t bufferBlocks_;
+    std::vector<PrefetchCandidate> scratch_;
+};
+
+// ---------------------------------------------------------------------------
 // Trace generators
 // ---------------------------------------------------------------------------
 
@@ -234,6 +316,7 @@ expectStatsEq(const TsPrefetcherStats &a, const TsPrefetcherStats &b)
     EXPECT_EQ(a.covered, b.covered);
     EXPECT_EQ(a.issued, b.issued);
     EXPECT_EQ(a.useful, b.useful);
+    EXPECT_EQ(a.evictions, b.evictions);
     EXPECT_EQ(a.streamLookups, b.streamLookups);
 }
 
@@ -299,6 +382,95 @@ TEST(PrefetchPolicyDiff, HybridMatchesReferenceEvaluateHybrid)
                 evaluatePolicy(t, *hybrid, cfg.bufferBlocks),
                 ref.evaluateHybrid(t, 2));
         }
+    }
+}
+
+TEST(PrefetchPolicyDiff, FixedAndHybridMatchReferenceOnTinyBuffers)
+{
+    // One to three buffer slots: deep replays displace their own
+    // prefetches, duplicates share the buffer, and the flat FIFO's
+    // dead front is compacted on nearly every miss.
+    for (const std::uint32_t blocks : {1u, 2u, 3u}) {
+        for (const unsigned ncpu : {1u, 4u}) {
+            const MissTrace t = synthTrace(23, ncpu, 8000);
+            TsPrefetcherConfig cfg;
+            cfg.bufferBlocks = blocks;
+            SCOPED_TRACE("buffer " + std::to_string(blocks) + " ncpu " +
+                         std::to_string(ncpu));
+            RefPrefetcher ref(cfg);
+            FixedDepthPolicy fixed(cfg);
+            expectStatsEq(evaluatePolicy(t, fixed, blocks),
+                          ref.evaluate(t));
+            auto hybrid = HybridPolicy::temporalPlusStride(cfg, 2);
+            expectStatsEq(evaluatePolicy(t, *hybrid, blocks),
+                          ref.evaluateHybrid(t, 2));
+        }
+    }
+}
+
+TEST(PrefetchPolicyDiff, FixedMatchesReferenceOnTraceShorterThanRing)
+{
+    // The ring never fills, so every replay reads the grown-by-append
+    // prefix of the ring.
+    TsPrefetcherConfig cfg;
+    cfg.historyEntries = 4096;
+    for (const unsigned ncpu : {1u, 2u}) {
+        const MissTrace t = synthTrace(13, ncpu, 3000);
+        ASSERT_LT(t.misses.size(), cfg.historyEntries);
+        RefPrefetcher ref(cfg);
+        FixedDepthPolicy policy(cfg);
+        expectStatsEq(evaluatePolicy(t, policy, cfg.bufferBlocks),
+                      ref.evaluate(t));
+    }
+}
+
+TEST(PrefetchPolicyDiff, HarnessMatchesFrozenHarnessForEveryPolicy)
+{
+    for (const std::string &name : prefetchPolicyNames()) {
+        for (const std::uint64_t seed : {3u, 17u}) {
+            for (const unsigned ncpu : {1u, 4u, 16u}) {
+                const MissTrace t = synthTrace(seed, ncpu);
+                auto policy = makePrefetchPolicy(name);
+                auto refPolicy = makePrefetchPolicy(name);
+                SCOPED_TRACE(name + " seed " + std::to_string(seed) +
+                             " ncpu " + std::to_string(ncpu));
+                expectStatsEq(evaluatePolicy(t, *policy),
+                              RefHarness(*refPolicy, 64).evaluate(t));
+            }
+        }
+    }
+}
+
+TEST(PrefetchPolicyDiff, HarnessMatchesFrozenHarnessOnTinyBuffers)
+{
+    for (const std::string &name : prefetchPolicyNames()) {
+        for (const std::uint32_t blocks : {1u, 2u, 3u}) {
+            for (const unsigned ncpu : {1u, 4u, 16u}) {
+                const MissTrace t = synthTrace(31, ncpu, 8000);
+                auto policy = makePrefetchPolicy(name);
+                auto refPolicy = makePrefetchPolicy(name);
+                SCOPED_TRACE(name + " buffer " + std::to_string(blocks) +
+                             " ncpu " + std::to_string(ncpu));
+                expectStatsEq(evaluatePolicy(t, *policy, blocks),
+                              RefHarness(*refPolicy, blocks).evaluate(t));
+            }
+        }
+    }
+}
+
+TEST(PrefetchPolicyDiff, ReusedPolicyScoresLikeAFreshOne)
+{
+    // evaluatePolicy() resets the policy: a second trace on the same
+    // object must not see the first trace's index or rings.
+    for (const std::string &name : prefetchPolicyNames()) {
+        SCOPED_TRACE(name);
+        const MissTrace first = synthTrace(7, 4);
+        const MissTrace second = synthTrace(9, 2);
+        auto reused = makePrefetchPolicy(name);
+        evaluatePolicy(first, *reused);
+        auto fresh = makePrefetchPolicy(name);
+        expectStatsEq(evaluatePolicy(second, *reused),
+                      evaluatePolicy(second, *fresh));
     }
 }
 
@@ -567,6 +739,28 @@ TEST(PrefetchStorage, FixedChargesHistoryRings)
     policy.reset(4);
     EXPECT_EQ(policy.storageBytes(),
               4ull * (1ull << 14) * sizeof(BlockId));
+}
+
+TEST(PrefetchStorage, LazyRingStillChargesTheFullBudget)
+{
+    // The rings grow by append, but the budget axis is the modelled
+    // CMOB: full rings from reset() on, whatever has been recorded.
+    TsPrefetcherConfig cfg;
+    cfg.historyEntries = 256;
+    const std::uint64_t budget = 4ull * 256 * sizeof(BlockId);
+    FixedDepthPolicy policy(cfg);
+    policy.reset(4);
+    EXPECT_EQ(policy.storageBytes(), budget); // before any miss
+
+    const MissTrace shortTrace = synthTrace(5, 4, 200);
+    ASSERT_LT(shortTrace.misses.size() / 4, cfg.historyEntries);
+    evaluatePolicy(shortTrace, policy);
+    EXPECT_EQ(policy.storageBytes(), budget); // rings partly filled
+
+    const MissTrace longTrace = synthTrace(5, 4, 5000);
+    ASSERT_GT(longTrace.misses.size() / 4, cfg.historyEntries);
+    evaluatePolicy(longTrace, policy);
+    EXPECT_EQ(policy.storageBytes(), budget); // every ring wrapped
 }
 
 TEST(PrefetchStorage, StrideChargesTrackers)
