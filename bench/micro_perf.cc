@@ -68,6 +68,25 @@ BM_SequiturAppend(benchmark::State &state)
 }
 BENCHMARK(BM_SequiturAppend)->Arg(10000)->Arg(100000)->Arg(1000000);
 
+// The 4096-symbol alphabet above keeps the digram table in cache; over
+// 2^20 symbols it outgrows the caches, as on real miss traces, so this
+// series shows the symbol and digram-slot footprint.
+void
+BM_SequiturAppendLargeAlphabet(benchmark::State &state)
+{
+    const auto input = makeInput(1000000, 1 << 20, 0.5);
+    for (auto _ : state) {
+        Sequitur g;
+        g.appendAll(input);
+        benchmark::DoNotOptimize(g.ruleCount());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(input.size()));
+}
+BENCHMARK(BM_SequiturAppendLargeAlphabet)
+    ->Name("BM_SequiturAppend/large_alphabet")
+    ->Unit(benchmark::kMillisecond);
+
 void
 BM_MultiChipAccess(benchmark::State &state)
 {

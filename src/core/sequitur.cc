@@ -10,51 +10,39 @@ namespace tstream
 // ---------------------------------------------------------------------------
 
 Sequitur::DigramTable::DigramTable()
-    : slots_(1024)
+    : slots_(std::size_t{1} << kInitialBits), shift_(64 - kInitialBits)
 {
-}
-
-std::size_t
-Sequitur::DigramTable::hashKey(std::uint64_t a, std::uint64_t b)
-{
-    std::uint64_t h = a * 0x9e3779b97f4a7c15ull;
-    h ^= b + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    h *= 0xbf58476d1ce4e5b9ull;
-    // The table is masked to a power of two; fold the high-entropy
-    // bits of the multiply back into the low bits.
-    h ^= h >> 32;
-    return static_cast<std::size_t>(h);
 }
 
 Sequitur::SymIdx
-Sequitur::DigramTable::find(std::uint64_t a, std::uint64_t b) const
+Sequitur::DigramTable::find(std::uint64_t key) const
 {
     const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hashKey(a, b) & mask;; i = (i + 1) & mask) {
+    for (std::size_t i = home(key);; i = (i + 1) & mask) {
         const Slot &s = slots_[i];
         if (s.sym == kEmpty)
             return kNoSym;
-        if (s.sym != kTomb && s.a == a && s.b == b)
+        if (s.key == key && s.sym != kTomb)
             return s.sym;
     }
 }
 
 void
-Sequitur::DigramTable::put(std::uint64_t a, std::uint64_t b, SymIdx sym)
+Sequitur::DigramTable::put(std::uint64_t key, SymIdx sym)
 {
     if ((used_ + 1) * 4 >= slots_.size() * 3)
         grow();
     const std::size_t mask = slots_.size() - 1;
     std::size_t tomb = SIZE_MAX;
-    for (std::size_t i = hashKey(a, b) & mask;; i = (i + 1) & mask) {
+    for (std::size_t i = home(key);; i = (i + 1) & mask) {
         Slot &s = slots_[i];
         if (s.sym == kEmpty) {
             // Reuse the first tombstone on the probe path, if any, so
             // heavily-churned keys do not stretch probe sequences.
             if (tomb != SIZE_MAX) {
-                slots_[tomb] = Slot{a, b, sym};
+                slots_[tomb] = Slot{key, sym};
             } else {
-                s = Slot{a, b, sym};
+                s = Slot{key, sym};
                 ++used_;
             }
             ++occupied_;
@@ -65,7 +53,7 @@ Sequitur::DigramTable::put(std::uint64_t a, std::uint64_t b, SymIdx sym)
                 tomb = i;
             continue;
         }
-        if (s.a == a && s.b == b) {
+        if (s.key == key) {
             s.sym = sym;
             return;
         }
@@ -73,15 +61,14 @@ Sequitur::DigramTable::put(std::uint64_t a, std::uint64_t b, SymIdx sym)
 }
 
 void
-Sequitur::DigramTable::erase(std::uint64_t a, std::uint64_t b,
-                             SymIdx ifSym)
+Sequitur::DigramTable::erase(std::uint64_t key, SymIdx ifSym)
 {
     const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hashKey(a, b) & mask;; i = (i + 1) & mask) {
+    for (std::size_t i = home(key);; i = (i + 1) & mask) {
         Slot &s = slots_[i];
         if (s.sym == kEmpty)
             return;
-        if (s.sym != kTomb && s.a == a && s.b == b) {
+        if (s.key == key && s.sym != kTomb) {
             if (s.sym == ifSym) {
                 s.sym = kTomb;
                 --occupied_;
@@ -97,8 +84,10 @@ Sequitur::DigramTable::grow()
     // Double while the live load would stay >= 1/2; a grow() call with
     // mostly tombstones keeps the size and just purges them.
     std::size_t n = slots_.size();
-    while (occupied_ * 2 >= n)
+    while (occupied_ * 2 >= n) {
         n *= 2;
+        --shift_;
+    }
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(n, Slot{});
     const std::size_t mask = n - 1;
@@ -106,7 +95,7 @@ Sequitur::DigramTable::grow()
     for (const Slot &s : old) {
         if (s.sym >= kTomb)
             continue;
-        std::size_t i = hashKey(s.a, s.b) & mask;
+        std::size_t i = home(s.key);
         while (slots_[i].sym != kEmpty)
             i = (i + 1) & mask;
         slots_[i] = s;
@@ -126,17 +115,17 @@ Sequitur::Sequitur()
 }
 
 Sequitur::SymIdx
-Sequitur::newSymbol()
+Sequitur::newSymbol(std::uint32_t tag)
 {
     if (!freeList_.empty()) {
         const SymIdx s = freeList_.back();
         freeList_.pop_back();
-        symbols_[s] = Symbol{};
+        symbols_[s] = Symbol{kNoSym, kNoSym, tag};
         return s;
     }
     panicIf(symbols_.size() >= kNoSym - 1,
             "Sequitur: symbol arena exhausted");
-    symbols_.emplace_back();
+    symbols_.push_back(Symbol{kNoSym, kNoSym, tag});
     return static_cast<SymIdx>(symbols_.size() - 1);
 }
 
@@ -147,32 +136,18 @@ Sequitur::freeSymbol(SymIdx s)
 }
 
 Sequitur::SymIdx
-Sequitur::newTerminal(std::uint64_t t)
-{
-    panicIf(t >= kNtTag >> 2, "Sequitur: terminal value too large");
-    const SymIdx s = newSymbol();
-    symbols_[s].term = t;
-    return s;
-}
-
-Sequitur::SymIdx
 Sequitur::newNonTerminal(std::uint32_t rule)
 {
-    const SymIdx s = newSymbol();
-    symbols_[s].tag = rule;
     rules_[rule].refs++;
-    return s;
+    return newSymbol(kNtBit | rule);
 }
 
 std::uint32_t
 Sequitur::newRule()
 {
     const auto id = static_cast<std::uint32_t>(rules_.size());
-    // kGuardBit - 1 is unusable: its guard tag would collide with
-    // kTermMark and read back as a terminal.
-    panicIf(id >= kGuardBit - 1, "Sequitur: rule ids exhausted");
-    const SymIdx g = newSymbol();
-    symbols_[g].tag = kGuardBit | id;
+    panicIf(id > kIdMask, "Sequitur: rule ids exhausted");
+    const SymIdx g = newSymbol(kGuardTag | id);
     rules_.push_back(Rule{0, g, true});
     link(g, g); // empty circular body
     ++liveRules_;
@@ -192,7 +167,7 @@ Sequitur::removeDigram(SymIdx a)
     const SymIdx n = symbols_[a].next;
     if (isGuard(a) || isGuard(n))
         return;
-    index_.erase(valueAt(a), valueAt(n), a);
+    index_.erase(digramKey(valueAt(a), valueAt(n)), a);
 }
 
 void
@@ -211,7 +186,7 @@ Sequitur::join(SymIdx left, SymIdx right)
             !isGuard(rp) && !isGuard(rn) &&
             valueAt(right) == valueAt(rp) &&
             valueAt(right) == valueAt(rn)) {
-            index_.put(valueAt(right), valueAt(rn), right);
+            index_.put(digramKey(valueAt(right), valueAt(rn)), right);
         }
         const SymIdx lp = symbols_[left].prev;
         const SymIdx ln = symbols_[left].next;
@@ -219,7 +194,7 @@ Sequitur::join(SymIdx left, SymIdx right)
             !isGuard(lp) && !isGuard(ln) &&
             valueAt(left) == valueAt(ln) &&
             valueAt(left) == valueAt(lp)) {
-            index_.put(valueAt(lp), valueAt(left), lp);
+            index_.put(digramKey(valueAt(lp), valueAt(left)), lp);
         }
     }
     link(left, right);
@@ -244,7 +219,9 @@ Sequitur::deleteSymbol(SymIdx s)
 void
 Sequitur::append(std::uint64_t terminal)
 {
-    const SymIdx s = newTerminal(terminal);
+    panicIf(terminal >= kTerminalLimit,
+            "Sequitur: terminal value too large");
+    const SymIdx s = newSymbol(static_cast<std::uint32_t>(terminal));
     const SymIdx guard = rules_[kRootRule].guard;
     const SymIdx last = symbols_[guard].prev;
     join(s, guard);
@@ -260,11 +237,10 @@ Sequitur::check(SymIdx a)
     if (isGuard(a) || isGuard(an))
         return false;
 
-    const std::uint64_t ka = valueAt(a);
-    const std::uint64_t kb = valueAt(an);
-    const SymIdx m = index_.find(ka, kb);
+    const std::uint64_t key = digramKey(valueAt(a), valueAt(an));
+    const SymIdx m = index_.find(key);
     if (m == kNoSym) {
-        index_.put(ka, kb, a);
+        index_.put(key, a);
         return false;
     }
 
@@ -291,24 +267,12 @@ Sequitur::processMatch(SymIdx a, SymIdx m)
     } else {
         // Create a new rule from the digram's values.
         r = newRule();
-        const SymIdx x = newSymbol();
-        const SymIdx y = newSymbol();
-        {
-            Symbol &sx = symbols_[x];
-            const Symbol &sa = symbols_[a];
-            sx.tag = sa.tag;
-            sx.term = sa.term;
-            if (sa.tag != kTermMark)
-                rules_[sa.tag].refs++;
-        }
-        {
-            Symbol &sy = symbols_[y];
-            const Symbol &sn = symbols_[symbols_[a].next];
-            sy.tag = sn.tag;
-            sy.term = sn.term;
-            if (sn.tag != kTermMark)
-                rules_[sn.tag].refs++;
-        }
+        const SymIdx x = newSymbol(valueAt(a));
+        const SymIdx y = newSymbol(valueAt(symbols_[a].next));
+        if (isNonTerminal(x))
+            rules_[ruleIdOf(x)].refs++;
+        if (isNonTerminal(y))
+            rules_[ruleIdOf(y)].refs++;
         const SymIdx g = rules_[r].guard;
         link(g, x);
         link(x, y);
@@ -319,7 +283,7 @@ Sequitur::processMatch(SymIdx a, SymIdx m)
         // (canonical order): the joins inside the substitutions may
         // transiently re-register run-overlap occurrences of this key,
         // and the body must win.
-        index_.put(valueAt(x), valueAt(y), x);
+        index_.put(digramKey(valueAt(x), valueAt(y)), x);
     }
 
     // Rule utility: if a symbol of the (new or reused) rule's body is a
@@ -413,13 +377,8 @@ Sequitur::ruleBody(std::uint32_t id) const
     const Rule &r = rules_.at(id);
     panicIf(!r.live, "Sequitur::ruleBody of dead rule");
     std::vector<GrammarSymbol> body;
-    for (SymIdx s = symbols_[r.guard].next; !isGuard(s);
-         s = symbols_[s].next) {
-        if (isNonTerminal(s))
-            body.push_back({true, ruleIdOf(s)});
-        else
-            body.push_back({false, symbols_[s].term});
-    }
+    for (SymIdx s = bodyFirst(id); !atBodyEnd(s); s = bodyNext(s))
+        body.push_back(symbolAt(s));
     return body;
 }
 
@@ -446,7 +405,7 @@ Sequitur::expandRule(std::uint32_t id) const
         if (isNonTerminal(s))
             stack.push_back(symbols_[rules_[ruleIdOf(s)].guard].next);
         else
-            out.push_back(symbols_[s].term);
+            out.push_back(valueAt(s));
     }
     return out;
 }
@@ -494,29 +453,12 @@ Sequitur::checkInvariants(bool allow_utility_slack) const
     // Duplicate digrams are allowed only when the occurrences overlap
     // (adjacent positions of a same-symbol run, e.g. "aaa"), the known
     // exception the canonical algorithm leaves in place.
-    struct Key
-    {
-        std::uint64_t a, b;
-        bool
-        operator==(const Key &o) const
-        {
-            return a == o.a && b == o.b;
-        }
-    };
-    struct KeyHash
-    {
-        std::size_t
-        operator()(const Key &k) const
-        {
-            return DigramTable::hashKey(k.a, k.b);
-        }
-    };
     struct Occ
     {
         std::uint32_t rule;
         std::size_t idx;
     };
-    std::unordered_map<Key, Occ, KeyHash> seen;
+    std::unordered_map<std::uint64_t, Occ> seen;
     std::vector<std::uint32_t> refCount(rules_.size(), 0);
     std::size_t live = 0;
 
@@ -537,12 +479,12 @@ Sequitur::checkInvariants(bool allow_utility_slack) const
             }
             const SymIdx n = symbols_[s].next;
             if (!isGuard(n)) {
-                const Key k{valueAt(s), valueAt(n)};
-                auto [it, fresh] = seen.try_emplace(k, Occ{id, idx});
+                auto [it, fresh] = seen.try_emplace(
+                    digramKey(valueAt(s), valueAt(n)), Occ{id, idx});
                 if (!fresh) {
                     const bool overlap = it->second.rule == id &&
                                          it->second.idx + 1 == idx &&
-                                         k.a == k.b;
+                                         valueAt(s) == valueAt(n);
                     panicIf(!overlap, "invariant: duplicate digram");
                     it->second = Occ{id, idx};
                 }

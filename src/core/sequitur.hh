@@ -18,13 +18,15 @@
  * The implementation follows the canonical algorithm — doubly-linked
  * symbol lists with per-rule guard nodes, a digram index, rule
  * substitution on duplicate digrams, and inline expansion of
- * under-used rules — but on cache-friendly storage: symbols live in
- * one pooled arena addressed by 32-bit indexes (24 B/symbol, LIFO
- * slot recycling, no per-node allocation), rules are plain values in
- * a by-id vector, and the digram index is an open-addressing table
- * keyed on the packed 64-bit symbol tags with linear probing and
- * tombstone deletion. The grammar produced is bit-identical to the
- * pointer-based implementation's; only the constant factors changed.
+ * under-used rules — but on packed, cache-friendly storage: symbols
+ * live in one pooled arena addressed by 32-bit indexes (12 B/symbol:
+ * two links and one 32-bit tag that encodes terminal, non-terminal or
+ * guard; LIFO slot recycling, no per-node allocation), rules are plain
+ * values in a by-id vector, and the digram index is an open-addressing
+ * table of 16 B slots keyed on the two tags packed into one 64-bit
+ * word, with linear probing and tombstone deletion. The grammar
+ * produced is bit-identical to the pointer-based implementation's;
+ * only the constant factors changed.
  */
 
 #ifndef TSTREAM_CORE_SEQUITUR_HH
@@ -41,18 +43,22 @@ namespace tstream
 /**
  * A SEQUITUR grammar under incremental construction.
  *
- * Terminals are arbitrary 64-bit values below 2^62 (callers intern
- * wider domains, e.g. block addresses, into dense ids).
+ * Terminals are values below kTerminalLimit (2^31); callers intern
+ * wider domains, e.g. block addresses, into dense ids.
  */
 class Sequitur
 {
   public:
+    /** Every terminal must be below this; append() panics otherwise. */
+    static constexpr std::uint64_t kTerminalLimit = std::uint64_t{1}
+                                                    << 31;
+
     Sequitur();
 
     Sequitur(const Sequitur &) = delete;
     Sequitur &operator=(const Sequitur &) = delete;
 
-    /** Append one terminal to the input sequence. */
+    /** Append one terminal (below kTerminalLimit) to the input. */
     void append(std::uint64_t terminal);
 
     /** Append a whole sequence. */
@@ -107,10 +113,43 @@ class Sequitur
     std::vector<std::uint64_t> expandRule(std::uint32_t id) const;
 
     /**
-     * Expanded length of each live rule, indexed by rule id (dead rule
-     * ids hold 0). Computed in one pass; O(total grammar size).
+     * Expanded length of each rule, indexed by rule id (dead rule ids
+     * hold 0; the size is one past the largest id ever allocated).
+     * Computed in one pass; O(total grammar size).
      */
     std::vector<std::uint64_t> ruleLengths() const;
+
+    // ------------------------------------------------------------------
+    // In-place body walk, for callers that traverse the derivation
+    // without copying bodies: a body runs from bodyFirst(id) through
+    // bodyNext() until atBodyEnd().
+    // ------------------------------------------------------------------
+
+    /** Handle of one symbol of a rule body. */
+    using SymbolRef = std::uint32_t;
+
+    /** First symbol of live rule @p id's body. */
+    SymbolRef
+    bodyFirst(std::uint32_t id) const
+    {
+        return symbols_[rules_[id].guard].next;
+    }
+
+    /** The symbol after @p s in its body. */
+    SymbolRef bodyNext(SymbolRef s) const { return symbols_[s].next; }
+
+    /** Whether @p s is past the last symbol of its body. */
+    bool atBodyEnd(SymbolRef s) const { return isGuard(s); }
+
+    /** Identity of body symbol @p s (not past the end). */
+    GrammarSymbol
+    symbolAt(SymbolRef s) const
+    {
+        const std::uint32_t t = symbols_[s].tag;
+        if (t & kNtBit)
+            return {true, t & kIdMask};
+        return {false, t};
+    }
 
     /**
      * Verify both SEQUITUR invariants plus list integrity; panics on
@@ -126,22 +165,22 @@ class Sequitur
     using SymIdx = std::uint32_t;
 
     static constexpr SymIdx kNoSym = 0xFFFFFFFFu;
-    /** Symbol::tag of a terminal. */
-    static constexpr std::uint32_t kTermMark = 0xFFFFFFFFu;
-    /** Symbol::tag bit marking a rule's guard node. */
-    static constexpr std::uint32_t kGuardBit = 0x80000000u;
 
-    /**
-     * One arena slot: list links plus the symbol identity packed into
-     * `tag` — kTermMark for terminals (value in `term`), the rule id
-     * for non-terminals, and kGuardBit|rule-id for guard nodes.
-     */
+    // Symbol::tag encoding. A terminal is its own value (below 2^31);
+    // a non-terminal sets kNtBit, a guard kNtBit|kGuardBit, each over
+    // the rule id in the low 30 bits. The three spaces are disjoint,
+    // so the tag alone identifies a symbol in digram keys.
+    static constexpr std::uint32_t kNtBit = 0x80000000u;
+    static constexpr std::uint32_t kGuardBit = 0x40000000u;
+    static constexpr std::uint32_t kGuardTag = kNtBit | kGuardBit;
+    static constexpr std::uint32_t kIdMask = kGuardBit - 1;
+
+    /** One 12 B arena slot: list links plus the symbol's tag. */
     struct Symbol
     {
         SymIdx prev = kNoSym;
         SymIdx next = kNoSym;
-        std::uint32_t tag = kTermMark;
-        std::uint64_t term = 0;
+        std::uint32_t tag = 0;
     };
 
     struct Rule
@@ -152,89 +191,84 @@ class Sequitur
     };
 
     /**
-     * Open-addressing digram index: (tagged value a, tagged value b)
-     * -> arena index of the digram's registered first symbol. Linear
-     * probing, tombstone deletion, grown (and tombstone-purged) at
-     * 3/4 load. Same mapping semantics as the std::unordered_map it
-     * replaces, minus the per-node allocations and pointer chasing.
+     * Open-addressing digram index: the tags (a, b) packed as
+     * a << 32 | b -> arena index of the digram's registered first
+     * symbol. Linear probing from a Fibonacci hash, tombstone
+     * deletion, grown (and tombstone-purged) at 3/4 load.
      */
     class DigramTable
     {
       public:
         DigramTable();
 
-        /** The digram key mix (shared with checkInvariants()). */
-        static std::size_t hashKey(std::uint64_t a, std::uint64_t b);
-
         /** @return the mapped symbol, or kNoSym if absent. */
-        SymIdx find(std::uint64_t a, std::uint64_t b) const;
+        SymIdx find(std::uint64_t key) const;
 
-        /** Insert or overwrite the mapping for (a, b). */
-        void put(std::uint64_t a, std::uint64_t b, SymIdx sym);
+        /** Insert or overwrite the mapping for @p key. */
+        void put(std::uint64_t key, SymIdx sym);
 
-        /** Remove (a, b) only if it currently maps to @p ifSym. */
-        void erase(std::uint64_t a, std::uint64_t b, SymIdx ifSym);
+        /** Remove @p key only if it currently maps to @p ifSym. */
+        void erase(std::uint64_t key, SymIdx ifSym);
 
       private:
+        /** 16 B with padding. */
         struct Slot
         {
-            std::uint64_t a = 0;
-            std::uint64_t b = 0;
+            std::uint64_t key = 0;
             SymIdx sym = kEmpty;
         };
 
         static constexpr SymIdx kEmpty = 0xFFFFFFFFu;
         static constexpr SymIdx kTomb = 0xFFFFFFFEu;
+        static constexpr unsigned kInitialBits = 10;
+
+        /** Home slot of @p key at the current size. */
+        std::size_t
+        home(std::uint64_t key) const
+        {
+            return static_cast<std::size_t>(
+                (key * 0x9e3779b97f4a7c15ull) >> shift_);
+        }
 
         void grow();
 
         std::vector<Slot> slots_; ///< size is a power of two
+        unsigned shift_;           ///< 64 - log2(slots_.size())
         std::size_t occupied_ = 0; ///< live entries
         std::size_t used_ = 0;     ///< live entries + tombstones
     };
 
-    static constexpr std::uint64_t kNtTag = 1ull << 63;
-    static constexpr std::uint64_t kGuardTag = 1ull << 62;
-
     bool
     isGuard(SymIdx s) const
     {
-        const std::uint32_t t = symbols_[s].tag;
-        return t != kTermMark && (t & kGuardBit) != 0;
+        return (symbols_[s].tag & kGuardTag) == kGuardTag;
     }
 
     bool
     isNonTerminal(SymIdx s) const
     {
-        const std::uint32_t t = symbols_[s].tag;
-        return t != kTermMark && (t & kGuardBit) == 0;
+        return (symbols_[s].tag & kGuardTag) == kNtBit;
     }
 
     /** Rule id of a non-terminal or guard symbol. */
     std::uint32_t
     ruleIdOf(SymIdx s) const
     {
-        return symbols_[s].tag & ~kGuardBit;
+        return symbols_[s].tag & kIdMask;
     }
 
-    /**
-     * Tagged value of a symbol for digram keys and run comparisons.
-     * Terminals, non-terminals, and guards occupy disjoint tag spaces.
-     */
-    std::uint64_t
-    valueAt(SymIdx s) const
+    /** Identity of a symbol for digram keys and run comparisons. */
+    std::uint32_t valueAt(SymIdx s) const { return symbols_[s].tag; }
+
+    /** The digram table key of the symbol pair (@p a, @p b). */
+    static std::uint64_t
+    digramKey(std::uint32_t a, std::uint32_t b)
     {
-        const Symbol &sym = symbols_[s];
-        if (sym.tag == kTermMark)
-            return sym.term;
-        if (sym.tag & kGuardBit)
-            return kGuardTag | (sym.tag & ~kGuardBit);
-        return kNtTag | sym.tag;
+        return std::uint64_t{a} << 32 | b;
     }
 
-    SymIdx newSymbol();
+    SymIdx newSymbol(std::uint32_t tag);
     void freeSymbol(SymIdx s);
-    SymIdx newTerminal(std::uint64_t t);
     SymIdx newNonTerminal(std::uint32_t rule);
     std::uint32_t newRule();
 

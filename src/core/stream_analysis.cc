@@ -1,13 +1,13 @@
 #include "core/stream_analysis.hh"
 
 #include <algorithm>
-#include <functional>
-#include <unordered_map>
+#include <numeric>
+#include <string>
 
 #include "core/sequitur.hh"
+#include "mem/block_map.hh"
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
-#include "util/work_pool.hh"
 
 namespace tstream
 {
@@ -39,9 +39,12 @@ namespace
 struct RootOcc
 {
     std::uint32_t rule;
-    std::uint64_t start; ///< position in the concatenated input
-    std::uint64_t len;
+    std::uint32_t start; ///< position in the concatenated input
+    std::uint32_t len;
 };
+
+/** posToMiss entry of a section's sentinel symbol. */
+constexpr std::uint32_t kSentinel = UINT32_MAX;
 
 } // namespace
 
@@ -49,147 +52,109 @@ StreamStats
 analyzeStreams(const MissTrace &trace, const StreamAnalysisConfig &cfg)
 {
     StreamStats out;
-    out.totalMisses = trace.misses.size();
-    out.labels.assign(trace.misses.size(), RepLabel::NonRepetitive);
-    out.strided.assign(trace.misses.size(), false);
-    if (trace.misses.empty())
+    const std::size_t n = trace.misses.size();
+    out.totalMisses = n;
+    out.labels.assign(n, RepLabel::NonRepetitive);
+    out.strided.assign(n, false);
+    if (n == 0)
         return out;
+
+    // The grammar input is one symbol per miss plus one sentinel per
+    // section, each possibly a distinct terminal.
+    const unsigned nsec = cfg.perCpu ? std::max(1u, trace.numCpus) : 1;
+    if (n + nsec >= Sequitur::kTerminalLimit)
+        fatal("analyzeStreams: " + std::to_string(n) + " misses plus " +
+              std::to_string(nsec) +
+              " section sentinels reach the grammar's 2^31 terminal "
+              "limit; analyze a shorter trace or window");
 
     // Phase spans nest under the driver's per-cell "analyze" span, so
     // the trace timeline shows where analysis time actually goes.
     telemetry::Span whole("analysis", "analysis");
     if (whole.active())
-        whole.arg("misses",
-                  static_cast<std::int64_t>(trace.misses.size()));
+        whole.arg("misses", static_cast<std::int64_t>(n));
 
     // ------------------------------------------------------------------
-    // 1. Project the trace per CPU: group miss indices by CPU. Stride
-    //    detection is per-CPU in every mode; the grammar projection
-    //    uses the same grouping in per-CPU mode and the global order
-    //    otherwise.
+    // 1. Project the trace per CPU: one flat array holding each CPU's
+    //    miss indices in order, each CPU's run followed by one sentinel
+    //    slot. Stride detection is per-CPU in every mode; in per-CPU
+    //    mode this array is also the grammar input's layout.
     // ------------------------------------------------------------------
-    const unsigned ncpu = cfg.perCpu ? std::max(1u, trace.numCpus) : 1;
-
     unsigned maxCpu = 0;
     for (const MissRecord &m : trace.misses)
         maxCpu = std::max(maxCpu, static_cast<unsigned>(m.cpu));
-    panicIf(cfg.perCpu && maxCpu >= ncpu,
+    panicIf(cfg.perCpu && maxCpu >= nsec,
             "analyzeStreams: cpu out of range");
+    const unsigned ncpu = std::max(nsec, maxCpu + 1);
 
-    const unsigned ngroups =
-        std::max(cfg.perCpu ? ncpu : 1u, maxCpu + 1);
-    std::vector<std::vector<std::uint32_t>> byCpu(ngroups);
-    for (std::uint32_t i = 0; i < trace.misses.size(); ++i)
-        byCpu[trace.misses[i].cpu].push_back(i);
-
-    // The projection sections the grammar input concatenates: per-CPU
-    // groups, or the whole trace in global order.
-    std::vector<std::uint32_t> globalIdx;
-    if (!cfg.perCpu) {
-        globalIdx.resize(trace.misses.size());
-        for (std::uint32_t i = 0; i < trace.misses.size(); ++i)
-            globalIdx[i] = i;
-    }
-    auto section = [&](unsigned c) -> const std::vector<std::uint32_t> & {
-        return cfg.perCpu ? byCpu[c] : globalIdx;
-    };
-
-    // ------------------------------------------------------------------
-    // 2. Per-CPU phases, fanned out over the work pool: stride
-    //    labeling (each CPU's tracker table is independent — only the
-    //    relative observation order within a CPU matters, which the
-    //    grouping preserves) and per-section global-sequence
-    //    extraction for the reuse-distance bookkeeping. Every task
-    //    writes a disjoint slot, so the result does not depend on
-    //    scheduling.
-    // ------------------------------------------------------------------
-    std::vector<std::vector<bool>> strideFlags(ngroups);
-    std::vector<std::vector<std::uint64_t>> cpuSeqs(ncpu);
-
-    std::vector<std::function<void()>> tasks;
-    for (unsigned c = 0; c < ngroups; ++c) {
-        if (byCpu[c].empty())
-            continue;
-        tasks.push_back([&, c] {
-            StrideDetector det(cfg.stride);
-            const auto &idx = byCpu[c];
-            auto &flags = strideFlags[c];
-            flags.resize(idx.size());
-            for (std::size_t k = 0; k < idx.size(); ++k)
-                flags[k] = det.observe(trace.misses[idx[k]].cpu,
-                                       trace.misses[idx[k]].block);
-        });
-    }
-    for (unsigned c = 0; c < ncpu; ++c) {
-        tasks.push_back([&, c] {
-            const auto &idx = section(c);
-            cpuSeqs[c].reserve(idx.size());
-            for (std::uint32_t mi : idx)
-                cpuSeqs[c].push_back(trace.misses[mi].seq);
-        });
-    }
-
+    // cpuStart[c]: position of CPU c's first miss; its sentinel slot
+    // is at cpuStart[c + 1] - 1.
+    std::vector<std::uint32_t> cpuStart(ncpu + 1, 0);
+    std::vector<std::uint32_t> byCpu;
     {
         telemetry::Span span("analysis.stride_seq", "analysis");
-        const unsigned jobs = std::min<std::size_t>(
-            cfg.jobs > 0 ? cfg.jobs : WorkPool::defaultJobs(),
-            tasks.size());
-        if (jobs > 1) {
-            WorkPool pool(jobs);
-            for (auto &t : tasks)
-                pool.submit(std::move(t));
-            pool.wait();
-        } else {
-            for (auto &t : tasks)
-                t();
+        for (const MissRecord &m : trace.misses)
+            ++cpuStart[m.cpu + 1];
+        for (unsigned c = 0; c < ncpu; ++c)
+            cpuStart[c + 1] += cpuStart[c] + 1;
+        byCpu.assign(cpuStart[ncpu], kSentinel);
+        std::vector<std::uint32_t> fill(cpuStart.begin(),
+                                        cpuStart.end() - 1);
+        for (std::uint32_t i = 0; i < n; ++i)
+            byCpu[fill[trace.misses[i].cpu]++] = i;
+
+        // Each CPU's tracker table is independent; only the relative
+        // observation order within a CPU matters.
+        for (unsigned c = 0; c < ncpu; ++c) {
+            StrideDetector det(cfg.stride);
+            for (std::uint32_t p = cpuStart[c]; p + 1 < cpuStart[c + 1];
+                 ++p) {
+                const MissRecord &m = trace.misses[byCpu[p]];
+                out.strided[byCpu[p]] = det.observe(m.cpu, m.block);
+            }
         }
     }
 
-    for (unsigned c = 0; c < ngroups; ++c)
-        for (std::size_t k = 0; k < byCpu[c].size(); ++k)
-            out.strided[byCpu[c][k]] = strideFlags[c][k];
-
-    // ------------------------------------------------------------------
-    // 3. Build the concatenated per-CPU input with sentinels, interning
-    //    block ids densely, and remember per-position miss indices.
-    // ------------------------------------------------------------------
-    std::unordered_map<BlockId, std::uint64_t> intern;
-    std::vector<std::uint64_t> input;
-    std::vector<std::uint32_t> posToMiss; // UINT32_MAX for sentinels
-    input.reserve(trace.misses.size() + ncpu);
-    posToMiss.reserve(input.capacity());
-
-    std::uint64_t nextId = 0;
-    for (unsigned c = 0; c < ncpu; ++c) {
-        for (std::uint32_t mi : section(c)) {
-            auto [it, fresh] =
-                intern.try_emplace(trace.misses[mi].block, nextId);
-            if (fresh)
-                ++nextId;
-            input.push_back(it->second);
-            posToMiss.push_back(mi);
-        }
-        // Unique sentinel ends each CPU section (also the last, so the
-        // position bookkeeping stays uniform).
-        input.push_back(std::uint64_t{1} << 40 | nextId++);
-        posToMiss.push_back(UINT32_MAX);
+    // The grammar input's sections: the per-CPU runs, or the whole
+    // trace in global order. posToMiss maps an input position to its
+    // miss index (kSentinel for a sentinel); sectionStart[s] is the
+    // position of section s's first symbol.
+    std::vector<std::uint32_t> posToMiss;
+    std::vector<std::uint32_t> sectionStart;
+    if (cfg.perCpu) {
+        posToMiss = std::move(byCpu);
+        sectionStart = std::move(cpuStart);
+    } else {
+        posToMiss.resize(n + 1);
+        std::iota(posToMiss.begin(), posToMiss.end() - 1, 0u);
+        posToMiss[n] = kSentinel;
+        sectionStart = {0, static_cast<std::uint32_t>(n + 1)};
     }
-    // Keep sentinel ids disjoint from block ids by offsetting blocks
-    // into a separate tag space instead: simpler, re-tag sentinels.
-    // (Handled above: sentinels carry bit 40; block ids stay below the
-    // miss count, far under 2^40.)
+    const auto inputLen = static_cast<std::uint32_t>(posToMiss.size());
 
     // ------------------------------------------------------------------
-    // 4. Grammar construction.
+    // 2. Grammar construction over block ids interned densely in
+    //    first-seen order (each sentinel takes the next id, so it is
+    //    unique). SEQUITUR only compares symbols for equality, so the
+    //    dense ids give the same grammar as any other injective naming.
     // ------------------------------------------------------------------
     Sequitur g;
     {
         telemetry::Span span("analysis.sequitur", "analysis");
         if (span.active())
-            span.arg("symbols",
-                     static_cast<std::int64_t>(input.size()));
-        for (std::uint64_t v : input)
-            g.append(v);
+            span.arg("symbols", static_cast<std::int64_t>(inputLen));
+        BlockMap<std::uint32_t> intern;
+        std::uint32_t nextId = 0;
+        for (const std::uint32_t mi : posToMiss) {
+            if (mi == kSentinel) {
+                g.append(nextId++);
+                continue;
+            }
+            auto [id, fresh] = intern.tryEmplace(trace.misses[mi].block);
+            if (fresh)
+                *id = nextId++;
+            g.append(*id);
+        }
     }
     const std::vector<std::uint64_t> ruleLen = g.ruleLengths();
     out.grammarRules = g.ruleCount();
@@ -197,77 +162,64 @@ analyzeStreams(const MissTrace &trace, const StreamAnalysisConfig &cfg)
                        static_cast<double>(out.grammarRules));
 
     // ------------------------------------------------------------------
-    // 5. Derivation walk: enumerate root-level occurrences and each
-    //    rule's first-expansion position (for New/Recurring).
+    // 3. Derivation walk, in place over the grammar: enumerate
+    //    root-level occurrences and each rule's first-expansion
+    //    position (for New/Recurring). A rule is descended into only
+    //    on its first expansion; every rule nested in it expands there
+    //    too, so a later occurrence just advances the position.
     // ------------------------------------------------------------------
-    const auto liveIds = g.liveRuleIds();
-    std::uint32_t maxRule = 0;
-    for (auto id : liveIds)
-        maxRule = std::max(maxRule, id);
-
-    std::vector<std::uint64_t> firstExpansion(maxRule + 1, UINT64_MAX);
+    constexpr std::uint32_t kUnexpanded = UINT32_MAX;
+    std::vector<std::uint32_t> firstExpansion(ruleLen.size(), kUnexpanded);
     std::vector<RootOcc> rootOccs;
-
     {
         telemetry::Span span("analysis.derivation_walk", "analysis");
-
-        // Cache rule bodies up front; the walk then never touches
-        // grammar internals.
-        std::vector<std::vector<Sequitur::GrammarSymbol>> bodies(
-            maxRule + 1);
-        for (auto id : liveIds)
-            bodies[id] = g.ruleBody(id);
-
-        struct Frame
-        {
-            std::uint32_t rule;
-            std::size_t idx;
-        };
-        std::vector<Frame> stack;
-        stack.push_back({Sequitur::kRootRule, 0});
-        std::uint64_t pos = 0;
-
+        std::vector<Sequitur::SymbolRef> stack{
+            g.bodyFirst(Sequitur::kRootRule)};
+        std::uint32_t pos = 0;
         while (!stack.empty()) {
-            Frame &f = stack.back();
-            const auto &body = bodies[f.rule];
-            if (f.idx >= body.size()) {
+            const Sequitur::SymbolRef s = stack.back();
+            if (g.atBodyEnd(s)) {
                 stack.pop_back();
                 continue;
             }
-            const Sequitur::GrammarSymbol sym = body[f.idx++];
+            stack.back() = g.bodyNext(s);
+            const Sequitur::GrammarSymbol sym = g.symbolAt(s);
             if (!sym.isRule) {
                 ++pos;
                 continue;
             }
-            const std::uint32_t r =
-                static_cast<std::uint32_t>(sym.value);
-            if (firstExpansion[r] == UINT64_MAX)
-                firstExpansion[r] = pos;
+            const auto r = static_cast<std::uint32_t>(sym.value);
+            const auto len = static_cast<std::uint32_t>(ruleLen[r]);
             if (stack.size() == 1)
-                rootOccs.push_back({r, pos, ruleLen[r]});
-            stack.push_back({r, 0});
+                rootOccs.push_back({r, pos, len});
+            if (firstExpansion[r] == kUnexpanded) {
+                firstExpansion[r] = pos;
+                stack.push_back(g.bodyFirst(r));
+            } else {
+                pos += len;
+            }
         }
-        panicIf(pos != input.size(),
+        panicIf(pos != inputLen,
                 "analyzeStreams: derivation length mismatch");
     }
 
     // ------------------------------------------------------------------
-    // 6. Label misses: inside a root-level occurrence -> New if this is
+    // 4. Label misses: inside a root-level occurrence -> New if this is
     //    the rule's first expansion, else Recurring.
     // ------------------------------------------------------------------
     for (const RootOcc &occ : rootOccs) {
         const bool isNew = occ.start == firstExpansion[occ.rule];
         const RepLabel lbl =
             isNew ? RepLabel::NewStream : RepLabel::RecurringStream;
-        for (std::uint64_t p = occ.start; p < occ.start + occ.len; ++p) {
+        for (std::uint32_t p = occ.start; p < occ.start + occ.len; ++p) {
             const std::uint32_t mi = posToMiss[p];
-            panicIf(mi == UINT32_MAX,
+            panicIf(mi == kSentinel,
                     "analyzeStreams: rule covers a sentinel");
             out.labels[mi] = lbl;
         }
     }
 
-    for (std::size_t i = 0; i < out.labels.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         switch (out.labels[i]) {
           case RepLabel::NonRepetitive: ++out.nonRepetitive; break;
           case RepLabel::NewStream: ++out.newStream; break;
@@ -286,70 +238,64 @@ analyzeStreams(const MissTrace &trace, const StreamAnalysisConfig &cfg)
     }
 
     // ------------------------------------------------------------------
-    // 7. Stream-length distribution, weighted by contribution: each
+    // 5. Stream-length distribution, weighted by contribution: each
     //    root occurrence of a rule of length L contributes L misses.
     // ------------------------------------------------------------------
     {
         telemetry::Span span("analysis.length_dist", "analysis");
-        std::unordered_map<std::uint32_t, std::uint64_t> occCount;
+        std::vector<std::uint64_t> occCount(ruleLen.size(), 0);
         for (const RootOcc &occ : rootOccs)
             occCount[occ.rule]++;
-        for (const auto &[rule, n] : occCount)
-            out.lengthWeighted.emplace_back(ruleLen[rule],
-                                            n * ruleLen[rule]);
+        for (std::uint32_t r = 0; r < occCount.size(); ++r)
+            if (occCount[r] != 0)
+                out.lengthWeighted.emplace_back(ruleLen[r],
+                                                occCount[r] * ruleLen[r]);
     }
 
     // ------------------------------------------------------------------
-    // 8. Reuse distance: consecutive root occurrences of the same rule,
+    // 6. Reuse distance: consecutive root occurrences of the same rule,
     //    measured in intervening misses on the first occurrence's CPU.
     // ------------------------------------------------------------------
     {
         telemetry::Span span("analysis.reuse_dist", "analysis");
-        // Per-CPU prefix bookkeeping: for each position, which CPU and
-        // which per-CPU ordinal. Positions are already grouped by CPU,
-        // so a position's CPU and ordinal derive from section offsets.
-        std::vector<std::uint64_t> sectionStart(ncpu + 1, 0);
-        for (unsigned c = 0; c < ncpu; ++c)
-            sectionStart[c + 1] =
-                sectionStart[c] + section(c).size() + 1;
-
-        auto cpuOfPos = [&](std::uint64_t p) {
-            unsigned lo = 0, hi = ncpu;
-            while (lo + 1 < hi) {
-                const unsigned mid = (lo + hi) / 2;
-                if (sectionStart[mid] <= p)
-                    lo = mid;
-                else
-                    hi = mid;
-            }
-            return lo;
+        const auto nsections =
+            static_cast<unsigned>(sectionStart.size() - 1);
+        auto sectionOfPos = [&](std::uint32_t p) {
+            return static_cast<unsigned>(
+                std::upper_bound(sectionStart.begin() + 1,
+                                 sectionStart.begin() + nsections, p) -
+                (sectionStart.begin() + 1));
+        };
+        auto seqAt = [&](std::uint32_t p) {
+            return trace.misses[posToMiss[p]].seq;
         };
 
-        // cpuSeqs (computed in the parallel phase) translate a global
-        // time into "how many misses had CPU A seen by then".
-        std::unordered_map<std::uint32_t, RootOcc> lastOcc;
         // Process occurrences in global-time order of their first miss.
-        auto occs = rootOccs;
-        std::sort(occs.begin(), occs.end(),
+        std::sort(rootOccs.begin(), rootOccs.end(),
                   [&](const RootOcc &a, const RootOcc &b) {
-                      return trace.misses[posToMiss[a.start]].seq <
-                             trace.misses[posToMiss[b.start]].seq;
+                      return seqAt(a.start) < seqAt(b.start);
                   });
-        for (const RootOcc &occ : occs) {
-            auto it = lastOcc.find(occ.rule);
-            if (it != lastOcc.end()) {
-                const RootOcc &prev = it->second;
-                const unsigned cpuA = cpuOfPos(prev.start);
+        std::vector<RootOcc> lastOcc(ruleLen.size(), RootOcc{0, 0, 0});
+        for (const RootOcc &occ : rootOccs) {
+            const RootOcc &prev = lastOcc[occ.rule];
+            if (prev.len != 0) {
+                const unsigned secA = sectionOfPos(prev.start);
                 // Ordinal of the previous occurrence's last miss on A.
                 const std::uint64_t endOrdinal =
-                    prev.start + prev.len - 1 - sectionStart[cpuA];
-                // Misses A has issued before this occurrence begins.
-                const std::uint64_t startSeq =
-                    trace.misses[posToMiss[occ.start]].seq;
-                const auto &seqs = cpuSeqs[cpuA];
+                    prev.start + prev.len - 1 - sectionStart[secA];
+                // Misses A has issued before this occurrence begins: a
+                // binary search of A's section, which is in seq order.
+                const std::uint64_t startSeq = seqAt(occ.start);
+                const auto first = posToMiss.begin() + sectionStart[secA];
+                const auto last =
+                    posToMiss.begin() + sectionStart[secA + 1] - 1;
                 const std::uint64_t seenOnA = static_cast<std::uint64_t>(
-                    std::lower_bound(seqs.begin(), seqs.end(), startSeq) -
-                    seqs.begin());
+                    std::partition_point(first, last,
+                                         [&](std::uint32_t mi) {
+                                             return trace.misses[mi].seq <
+                                                    startSeq;
+                                         }) -
+                    first);
                 const std::uint64_t dist =
                     seenOnA > endOrdinal + 1 ? seenOnA - endOrdinal - 1
                                              : 0;

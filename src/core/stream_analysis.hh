@@ -106,19 +106,17 @@ struct StreamAnalysisConfig
 
     /** Stride detector settings for the joint breakdown. */
     StrideConfig stride;
-
-    /**
-     * Worker threads for the per-CPU projection phases (stride
-     * labeling and per-CPU sequence extraction — each CPU's state is
-     * independent, so they fan out over a util/work_pool). 0 = auto
-     * (WorkPool::defaultJobs(), i.e. TSTREAM_JOBS or the hardware
-     * concurrency), 1 = run inline. The result is bit-identical for
-     * any value; this only affects wall time.
-     */
-    unsigned jobs = 0;
 };
 
-/** Run the full temporal-stream analysis over @p trace. */
+/**
+ * Run the full temporal-stream analysis over @p trace, on the calling
+ * thread (callers parallelise across traces, not within one).
+ *
+ * Every miss and every section sentinel (one per CPU in per-CPU mode,
+ * one otherwise) may become a distinct SEQUITUR terminal, and
+ * terminals are below Sequitur::kTerminalLimit (2^31): a trace whose
+ * misses plus sentinels reach that limit is rejected with fatal().
+ */
 StreamStats analyzeStreams(const MissTrace &trace,
                            const StreamAnalysisConfig &cfg = {});
 

@@ -279,5 +279,18 @@ TEST(StreamAnalysis, GrammarScalesToLargeTraces)
     EXPECT_GE(s.grammarRules, 5u);
 }
 
+TEST(StreamAnalysisDeathTest, GrammarInputAtTerminalLimitIsRejected)
+{
+    // One miss plus one sentinel per declared CPU reaches 2^31 grammar
+    // symbols: rejected with the analysis' own message, before any
+    // per-CPU table is sized.
+    MissTrace t;
+    t.numCpus = 1u << 31;
+    t.misses.push_back(MissRecord{0, 42, 0, 0, 0});
+    EXPECT_EXIT(analyzeStreams(t), ::testing::ExitedWithCode(1),
+                "section sentinels reach the grammar's 2\\^31 "
+                "terminal limit");
+}
+
 } // namespace
 } // namespace tstream

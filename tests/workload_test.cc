@@ -8,6 +8,7 @@
 
 #include <array>
 
+#include "core/figures.hh"
 #include "core/module_profile.hh"
 #include "core/stream_analysis.hh"
 #include "sim/experiment.hh"
@@ -91,6 +92,52 @@ INSTANTIATE_TEST_SUITE_P(
                           WorkloadKind::PhasedMix),
         ::testing::Values(SystemContext::MultiChip,
                           SystemContext::SingleChip)));
+
+/**
+ * Per-cell classification check on bench --quick cells: every record
+ * carries an in-range class, so the Figure 1 per-class counts sum to
+ * the trace size for the off-chip, intra-chip and on-chip views.
+ */
+TEST(WorkloadClasses, PerClassCountsSumToTraceSize)
+{
+    auto expectClassesCover = [](const MissTrace &t, std::size_t nclasses,
+                                 const char *view) {
+        for (const MissRecord &m : t.misses)
+            ASSERT_LT(m.cls, nclasses) << view << " seq " << m.seq;
+        const MissClassMix mix = missClassMix(t);
+        std::uint64_t sum = 0;
+        for (const std::uint64_t n : mix.counts)
+            sum += n;
+        EXPECT_EQ(sum, t.misses.size()) << view;
+        EXPECT_EQ(mix.total, t.misses.size()) << view;
+    };
+    const std::pair<WorkloadKind, SystemContext> cells[] = {
+        {WorkloadKind::Oltp, SystemContext::MultiChip},
+        {WorkloadKind::Apache, SystemContext::SingleChip},
+        {WorkloadKind::DssQ1, SystemContext::SingleChip},
+        {WorkloadKind::KvStore, SystemContext::MultiChip},
+    };
+    for (const auto &[w, c] : cells) {
+        SCOPED_TRACE(std::string(workloadName(w)) + " " +
+                     std::string(contextName(c)));
+        ExperimentConfig cfg;
+        cfg.workload = w;
+        cfg.context = c;
+        cfg.warmupInstructions = kQuickBudgets.warmupInstructions;
+        cfg.measureInstructions = kQuickBudgets.measureInstructions;
+        cfg.scale = kQuickBudgets.scale;
+        const ExperimentResult res = runExperiment(cfg);
+        ASSERT_FALSE(res.offChip.misses.empty());
+        expectClassesCover(res.offChip, kNumMissClasses, "off-chip");
+        if (c == SystemContext::SingleChip) {
+            ASSERT_FALSE(res.intraChip.misses.empty());
+            expectClassesCover(res.intraChip, kNumIntraClasses,
+                               "intra-chip");
+            expectClassesCover(res.intraChipOnChip(), kNumIntraClasses,
+                               "on-chip");
+        }
+    }
+}
 
 TEST(WorkloadShape, WebMultiChipIsCoherenceHeavy)
 {
