@@ -1,7 +1,5 @@
 #include "mem/cache.hh"
 
-#include <bit>
-
 namespace tstream
 {
 
@@ -13,115 +11,60 @@ Cache::Cache(const CacheConfig &cfg)
             "Cache: set count must be a nonzero power of two");
     panicIf(ways_ == 0, "Cache: zero ways");
     setMask_ = sets - 1;
-    lines_.resize(sets * ways_);
+    words_.resize(sets * ways_);
+    stamps_.resize(sets * ways_);
 }
 
-int
-Cache::findWay(std::uint64_t set, BlockId blk) const
+std::optional<Cache::Line>
+Cache::fill(BlockId blk, CohState st)
 {
-    const std::size_t base = set * ways_;
+    checkBlock(blk);
+    if (st == CohState::Invalid)
+        panic("Cache::fill of Invalid state");
+    ++counters_.fills;
+    const Slot base = static_cast<Slot>(blk & setMask_) * ways_;
+
+    // Prefer an invalid way; otherwise evict the LRU way.
+    Slot victim = base;
+    std::uint64_t oldest = UINT64_MAX;
     for (unsigned w = 0; w < ways_; ++w) {
-        const Way &way = lines_[base + w];
-        if (way.state != CohState::Invalid && way.tag == blk)
-            return static_cast<int>(w);
+        if ((words_[base + w] & kStateMask) == 0) {
+            victim = base + w;
+            break;
+        }
+        if (stamps_[base + w] < oldest) {
+            oldest = stamps_[base + w];
+            victim = base + w;
+        }
     }
-    return -1;
-}
 
-std::optional<CohState>
-Cache::lookup(BlockId blk)
-{
-    const std::uint64_t set = setIndex(blk);
-    const int w = findWay(set, blk);
-    if (w < 0)
-        return std::nullopt;
-    Way &way = lines_[set * ways_ + w];
-    way.lru = ++tick_;
-    return way.state;
+    std::optional<Line> evicted;
+    const Word old = words_[victim];
+    if ((old & kStateMask) != 0) {
+        ++counters_.evictions;
+        evicted = Line{old >> kStateBits,
+                       static_cast<CohState>(old & kStateMask)};
+    }
+    words_[victim] = blk << kStateBits | static_cast<Word>(st);
+    stamps_[victim] = ++tick_;
+    return evicted;
 }
 
 std::optional<CohState>
 Cache::probe(BlockId blk) const
 {
-    const std::uint64_t set = setIndex(blk);
-    const int w = findWay(set, blk);
-    if (w < 0)
+    const Slot s = findSlot(blk);
+    if (s == kNoSlot)
         return std::nullopt;
-    return lines_[set * ways_ + w].state;
-}
-
-std::optional<Cache::Line>
-Cache::insert(BlockId blk, CohState st)
-{
-    panicIf(st == CohState::Invalid, "Cache::insert of Invalid state");
-    const std::uint64_t set = setIndex(blk);
-    const std::size_t base = set * ways_;
-
-    // Re-insertion of a resident block just updates state and LRU.
-    const int hit = findWay(set, blk);
-    if (hit >= 0) {
-        Way &way = lines_[base + hit];
-        way.state = st;
-        way.lru = ++tick_;
-        return std::nullopt;
-    }
-
-    // Prefer an invalid way; otherwise evict the LRU way.
-    int victim = -1;
-    std::uint64_t oldest = UINT64_MAX;
-    for (unsigned w = 0; w < ways_; ++w) {
-        Way &way = lines_[base + w];
-        if (way.state == CohState::Invalid) {
-            victim = static_cast<int>(w);
-            oldest = 0;
-            break;
-        }
-        if (way.lru < oldest) {
-            oldest = way.lru;
-            victim = static_cast<int>(w);
-        }
-    }
-
-    Way &way = lines_[base + victim];
-    std::optional<Line> evicted;
-    if (way.state != CohState::Invalid)
-        evicted = Line{way.tag, way.state};
-    way.tag = blk;
-    way.state = st;
-    way.lru = ++tick_;
-    return evicted;
-}
-
-bool
-Cache::setState(BlockId blk, CohState st)
-{
-    const std::uint64_t set = setIndex(blk);
-    const int w = findWay(set, blk);
-    if (w < 0)
-        return false;
-    lines_[set * ways_ + w].state = st;
-    return true;
-}
-
-std::optional<CohState>
-Cache::invalidate(BlockId blk)
-{
-    const std::uint64_t set = setIndex(blk);
-    const int w = findWay(set, blk);
-    if (w < 0)
-        return std::nullopt;
-    Way &way = lines_[set * ways_ + w];
-    const CohState prior = way.state;
-    way.state = CohState::Invalid;
-    return prior;
+    return stateAt(s);
 }
 
 std::size_t
 Cache::residentCount() const
 {
     std::size_t n = 0;
-    for (const Way &w : lines_)
-        if (w.state != CohState::Invalid)
+    for (const Word w : words_)
+        if ((w & kStateMask) != 0)
             ++n;
     return n;
 }

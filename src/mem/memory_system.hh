@@ -18,6 +18,7 @@
 #include <cstdint>
 
 #include "mem/address.hh"
+#include "mem/cache.hh"
 #include "trace/record.hh"
 
 namespace tstream
@@ -72,6 +73,14 @@ class MemorySystem
 
     /** Number of CPUs (cores or nodes) in the system. */
     virtual unsigned numCpus() const = 0;
+
+    /** Cache activity since construction, summed per level. */
+    struct CacheLevelCounters
+    {
+        Cache::Counters l1; ///< every private L1
+        Cache::Counters l2; ///< the shared L2, or every private L2
+    };
+    virtual CacheLevelCounters cacheCounters() const = 0;
 
     /**
      * Process an access of arbitrary size by splitting it into its

@@ -23,6 +23,17 @@ MultiChipSystem::dirEntry(BlockId blk) const
     return dir_.find(blk);
 }
 
+MemorySystem::CacheLevelCounters
+MultiChipSystem::cacheCounters() const
+{
+    CacheLevelCounters n;
+    for (const Cache &c : l1_)
+        n.l1 += c.counters();
+    for (const Cache &c : l2_)
+        n.l2 += c.counters();
+    return n;
+}
+
 std::optional<CohState>
 MultiChipSystem::probeL1(unsigned node, BlockId blk) const
 {
@@ -38,17 +49,21 @@ MultiChipSystem::probeL2(unsigned node, BlockId blk) const
 void
 MultiChipSystem::invalidateNode(unsigned node, BlockId blk)
 {
-    l1_[node].invalidate(blk);
-    l2_[node].invalidate(blk);
+    for (Cache *c : {&l1_[node], &l2_[node]})
+        if (const Cache::Slot s = c->find(blk); s != Cache::kNoSlot)
+            c->invalidateAt(s);
 }
 
 void
 MultiChipSystem::fillL2(unsigned node, BlockId blk, CohState st)
 {
-    auto evicted = l2_[node].insert(blk, st);
+    auto evicted = l2_[node].fill(blk, st);
     if (evicted) {
         // Maintain L1 subset of L2 within a node: back-invalidate.
-        l1_[node].invalidate(evicted->block);
+        Cache &l1 = l1_[node];
+        if (const Cache::Slot s = l1.find(evicted->block);
+            s != Cache::kNoSlot)
+            l1.invalidateAt(s);
         // Update the directory: the node no longer caches the victim.
         if (DirEntry *de = dir_.find(evicted->block)) {
             de->sharers &= ~(1u << node);
@@ -93,15 +108,20 @@ void
 MultiChipSystem::handleRead(const Access &acc, BlockId blk)
 {
     const unsigned node = acc.cpu;
+    Cache &l1 = l1_[node];
+    Cache &l2 = l2_[node];
 
     // L1 hit: nothing further.
-    if (l1_[node].lookup(blk))
+    if (const Cache::Slot s = l1.find(blk); s != Cache::kNoSlot) {
+        l1.touch(s);
         return;
+    }
 
     // L2 hit: refill L1 from the local L2 (intra-node, untraced in the
     // multi-chip context).
-    if (auto st = l2_[node].lookup(blk)) {
-        l1_[node].insert(blk, *st);
+    if (const Cache::Slot s = l2.find(blk); s != Cache::kNoSlot) {
+        l2.touch(s);
+        l1.fill(blk, l2.stateAt(s));
         return;
     }
 
@@ -115,15 +135,18 @@ MultiChipSystem::handleRead(const Access &acc, BlockId blk)
     if (de.owner >= 0 && de.owner != static_cast<int>(node)) {
         // Remote owner supplies and downgrades to Shared (writeback).
         const unsigned o = static_cast<unsigned>(de.owner);
-        l2_[o].setState(blk, CohState::Shared);
-        l1_[o].setState(blk, CohState::Shared);
+        for (Cache *c : {&l2_[o], &l1_[o]})
+            if (const Cache::Slot s = c->find(blk); s != Cache::kNoSlot)
+                c->setStateAt(s, CohState::Shared);
         de.sharers |= 1u << o;
         de.owner = -1;
     }
     de.sharers |= 1u << node;
 
+    // Both local caches missed, and fillL2 back-invalidates only its
+    // victim, so blk is still absent from the L1.
     fillL2(node, blk, CohState::Shared);
-    l1_[node].insert(blk, CohState::Shared);
+    l1.fill(blk, CohState::Shared);
 }
 
 void
@@ -131,27 +154,40 @@ MultiChipSystem::handleWrite(const Access &acc, BlockId blk)
 {
     const unsigned node = acc.cpu;
     tracker_.recordWrite(blk, static_cast<int>(node));
+    Cache &l1 = l1_[node];
+    Cache &l2 = l2_[node];
 
-    // Write hit in Modified: done.
-    if (auto st = l2_[node].probe(blk); st && *st == CohState::Modified) {
-        l2_[node].lookup(blk); // refresh LRU
-        l1_[node].insert(blk, CohState::Modified);
-        return;
+    const Cache::Slot s2 = l2.find(blk);
+    if (s2 != Cache::kNoSlot && l2.stateAt(s2) == CohState::Modified) {
+        // Write hit in Modified: no coherence action.
+        l2.touch(s2);
+    } else {
+        // Upgrade or write miss: invalidate all other copies.
+        DirEntry &de = dir_[blk];
+        for (unsigned n = 0; n < cfg_.nodes; ++n) {
+            if (n == node)
+                continue;
+            if ((de.sharers & (1u << n)) ||
+                de.owner == static_cast<int>(n))
+                invalidateNode(n, blk);
+        }
+        de.sharers = 1u << node;
+        de.owner = static_cast<int>(node);
+
+        if (s2 != Cache::kNoSlot) {
+            l2.setStateAt(s2, CohState::Modified);
+            l2.touch(s2);
+        } else {
+            fillL2(node, blk, CohState::Modified);
+        }
     }
 
-    // Upgrade or write miss: invalidate all other copies.
-    DirEntry &de = dir_[blk];
-    for (unsigned n = 0; n < cfg_.nodes; ++n) {
-        if (n == node)
-            continue;
-        if ((de.sharers & (1u << n)) || de.owner == static_cast<int>(n))
-            invalidateNode(n, blk);
+    if (const Cache::Slot s1 = l1.find(blk); s1 != Cache::kNoSlot) {
+        l1.setStateAt(s1, CohState::Modified);
+        l1.touch(s1);
+    } else {
+        l1.fill(blk, CohState::Modified);
     }
-    de.sharers = 1u << node;
-    de.owner = static_cast<int>(node);
-
-    fillL2(node, blk, CohState::Modified);
-    l1_[node].insert(blk, CohState::Modified);
 }
 
 void

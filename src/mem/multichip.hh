@@ -40,6 +40,8 @@ class MultiChipSystem : public MemorySystem
     void accessBlock(const Access &acc) override;
     void accessBlockRun(const Access *accs, std::size_t n) override;
 
+    CacheLevelCounters cacheCounters() const override;
+
     unsigned numCpus() const override { return cfg_.nodes; }
 
     /** Directory entry state, exposed for tests. */

@@ -15,6 +15,16 @@ SingleChipSystem::SingleChipSystem(const SingleChipConfig &cfg)
     intraChip_.numCpus = cfg.cores;
 }
 
+MemorySystem::CacheLevelCounters
+SingleChipSystem::cacheCounters() const
+{
+    CacheLevelCounters n;
+    for (const Cache &c : l1_)
+        n.l1 += c.counters();
+    n.l2 = l2_.counters();
+    return n;
+}
+
 std::optional<CohState>
 SingleChipSystem::probeL1(unsigned core, BlockId blk) const
 {
@@ -30,12 +40,18 @@ SingleChipSystem::probeL2(BlockId blk) const
 void
 SingleChipSystem::fillL1(unsigned core, BlockId blk, CohState st)
 {
-    auto evicted = l1_[core].insert(blk, st);
+    auto evicted = l1_[core].fill(blk, st);
     if (evicted && dirty(evicted->state)) {
         // Non-inclusive hierarchy: dirty L1 victims are written back
-        // into the L2 (allocating there).
-        auto l2evict = l2_.insert(evicted->block, CohState::Modified);
-        (void)l2evict; // L2 victim writes back to memory implicitly.
+        // into the L2 (allocating there; an L2 victim writes back to
+        // memory implicitly).
+        const Cache::Slot s = l2_.find(evicted->block);
+        if (s != Cache::kNoSlot) {
+            l2_.setStateAt(s, CohState::Modified);
+            l2_.touch(s);
+        } else {
+            l2_.fill(evicted->block, CohState::Modified);
+        }
     }
 }
 
@@ -45,7 +61,7 @@ SingleChipSystem::offChipFill(const Access &acc, BlockId blk)
     const MissClass cls = chipTracker_.classifyRead(blk, 0);
     recordOffChipMiss(blk, acc.cpu, static_cast<std::uint8_t>(cls),
                       acc.fn);
-    l2_.insert(blk, CohState::Shared);
+    l2_.fill(blk, CohState::Shared);
 }
 
 void
@@ -83,8 +99,10 @@ SingleChipSystem::handleRead(const Access &acc, BlockId blk)
     const unsigned core = acc.cpu;
 
     // L1 hit.
-    if (l1_[core].lookup(blk))
+    if (const Cache::Slot s = l1_[core].find(blk); s != Cache::kNoSlot) {
+        l1_[core].touch(s);
         return;
+    }
 
     // L1 read miss: determine cause before updating history.
     const bool cohCause = intraTracker_.coherenceCaused(blk, core);
@@ -94,20 +112,24 @@ SingleChipSystem::handleRead(const Access &acc, BlockId blk)
     // because the hierarchy is non-inclusive, even shared) copy, or the
     // shared L2.
     int peer = -1;
-    bool peerDirty = false;
+    Cache::Slot peerSlot = Cache::kNoSlot;
     for (unsigned p = 0; p < cfg_.cores && peer < 0; ++p) {
         if (p == core)
             continue;
-        if (auto st = l1_[p].probe(blk)) {
+        peerSlot = l1_[p].find(blk);
+        if (peerSlot != Cache::kNoSlot)
             peer = static_cast<int>(p);
-            peerDirty = dirty(*st);
-        }
     }
+    const bool peerDirty =
+        peer >= 0 &&
+        dirty(l1_[static_cast<unsigned>(peer)].stateAt(peerSlot));
 
-    const bool l2Hit = l2_.probe(blk).has_value();
+    // A dirty peer supplies whatever the L2 holds.
+    const Cache::Slot l2Slot =
+        peerDirty ? Cache::kNoSlot : l2_.find(blk);
 
     IntraClass icls;
-    if (peer >= 0 && (peerDirty || !l2Hit)) {
+    if (peer >= 0 && (peerDirty || l2Slot == Cache::kNoSlot)) {
         // Peer L1 supplies. Dirty owners downgrade M -> O and keep
         // ownership (Piranha-style); the requestor fills Shared. A
         // dirty-peer supply is a cache-to-cache transfer and counts
@@ -116,20 +138,19 @@ SingleChipSystem::handleRead(const Access &acc, BlockId blk)
         // right); a clean-peer supply of a merely-L2-evicted block is
         // replacement traffic.
         if (peerDirty)
-            l1_[static_cast<unsigned>(peer)].setState(blk, CohState::Owned);
+            l1_[static_cast<unsigned>(peer)].setStateAt(peerSlot,
+                                                        CohState::Owned);
         icls = (peerDirty || cohCause) ? IntraClass::CoherencePeerL1
                                        : IntraClass::ReplacementL2;
-        fillL1(core, blk, CohState::Shared);
-    } else if (l2Hit) {
-        l2_.lookup(blk); // refresh LRU
+    } else if (l2Slot != Cache::kNoSlot) {
+        l2_.touch(l2Slot);
         icls = cohCause ? IntraClass::CoherenceL2
                         : IntraClass::ReplacementL2;
-        fillL1(core, blk, CohState::Shared);
     } else {
         icls = IntraClass::OffChip;
         offChipFill(acc, blk);
-        fillL1(core, blk, CohState::Shared);
     }
+    fillL1(core, blk, CohState::Shared);
 
     if (tracing_) {
         intraChip_.misses.push_back(MissRecord{
@@ -144,27 +165,30 @@ SingleChipSystem::handleWrite(const Access &acc, BlockId blk)
     const unsigned core = acc.cpu;
     intraTracker_.recordWrite(blk, static_cast<int>(core));
     chipTracker_.recordWrite(blk, 0);
+    Cache &l1 = l1_[core];
 
     // Write hit in Modified: done.
-    if (auto st = l1_[core].probe(blk); st && *st == CohState::Modified) {
-        l1_[core].lookup(blk); // refresh LRU
+    const Cache::Slot s = l1.find(blk);
+    if (s != Cache::kNoSlot && l1.stateAt(s) == CohState::Modified) {
+        l1.touch(s);
         return;
     }
 
-    // Invalidate peers; ownership moves to this core's L1.
-    for (unsigned p = 0; p < cfg_.cores; ++p)
-        if (p != core)
-            l1_[p].invalidate(blk);
-    // The L2 copy (if any) becomes stale; drop it. The up-to-date copy
-    // lives in this L1 in Modified and is written back on eviction.
-    l2_.invalidate(blk);
+    // Invalidate peers; ownership moves to this core's L1. The L2 copy
+    // (if any) becomes stale; drop it. The up-to-date copy lives in
+    // this L1 in Modified and is written back on eviction.
+    invalidateOthers(core, blk);
 
-    // A store to a block absent from the chip allocates silently (store
-    // misses are not part of the paper's read-miss traces).
-    if (!l2_.probe(blk) && !l1_[core].probe(blk))
+    if (s != Cache::kNoSlot) {
+        l1.setStateAt(s, CohState::Modified);
+        l1.touch(s);
+    } else {
+        // A store to a block absent from the chip (its L2 copy was
+        // just dropped) allocates silently: store misses are not part
+        // of the paper's read-miss traces.
         chipTracker_.recordTouch(blk);
-
-    fillL1(core, blk, CohState::Modified);
+        fillL1(core, blk, CohState::Modified);
+    }
 }
 
 void
@@ -173,9 +197,20 @@ SingleChipSystem::handleIoWrite(const Access &acc, BlockId blk, int writer)
     (void)acc;
     intraTracker_.recordWrite(blk, writer);
     chipTracker_.recordWrite(blk, writer);
-    for (unsigned p = 0; p < cfg_.cores; ++p)
-        l1_[p].invalidate(blk);
-    l2_.invalidate(blk);
+    invalidateOthers(cfg_.cores, blk);
+}
+
+void
+SingleChipSystem::invalidateOthers(unsigned core, BlockId blk)
+{
+    for (unsigned p = 0; p < cfg_.cores; ++p) {
+        if (p == core)
+            continue;
+        if (const Cache::Slot s = l1_[p].find(blk); s != Cache::kNoSlot)
+            l1_[p].invalidateAt(s);
+    }
+    if (const Cache::Slot s = l2_.find(blk); s != Cache::kNoSlot)
+        l2_.invalidateAt(s);
 }
 
 } // namespace tstream

@@ -43,6 +43,8 @@ class SingleChipSystem : public MemorySystem
     void accessBlock(const Access &acc) override;
     void accessBlockRun(const Access *accs, std::size_t n) override;
 
+    CacheLevelCounters cacheCounters() const override;
+
     unsigned numCpus() const override { return cfg_.cores; }
 
     /** Probe caches (tests / debugging). */
@@ -54,7 +56,12 @@ class SingleChipSystem : public MemorySystem
     void handleWrite(const Access &acc, BlockId blk);
     void handleIoWrite(const Access &acc, BlockId blk, int writer);
 
-    /** Evicting L1 fill, writing dirty victims back into the L2. */
+    /** Invalidate @p blk in the L2 and in every L1 but @p core's (all
+     *  of them when @p core is out of range). */
+    void invalidateOthers(unsigned core, BlockId blk);
+
+    /** Evicting L1 fill of an absent block, writing dirty victims
+     *  back into the L2. */
     void fillL1(unsigned core, BlockId blk, CohState st);
 
     /**

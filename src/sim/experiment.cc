@@ -1,9 +1,12 @@
 #include "sim/experiment.hh"
 
 #include <cstring>
+#include <string>
+#include <string_view>
 
 #include "core/prefetch_policy.hh"
 #include "kernel/kernel.hh"
+#include "obs/telemetry.hh"
 #include "sim/engine.hh"
 #include "util/logging.hh"
 
@@ -123,6 +126,22 @@ configHash(const ExperimentConfig &cfg)
     return h;
 }
 
+namespace
+{
+
+/** Add one level's cache activity to the `mem.<level>.*` counters. */
+void
+countCacheLevel(std::string_view level, const Cache::Counters &n)
+{
+    const std::string prefix = "mem." + std::string(level) + ".";
+    telemetry::count(prefix + "finds", n.finds);
+    telemetry::count(prefix + "fills", n.fills);
+    telemetry::count(prefix + "evictions", n.evictions);
+    telemetry::count(prefix + "invalidations", n.invalidations);
+}
+
+} // namespace
+
 ExperimentResult
 runExperiment(const ExperimentConfig &cfg)
 {
@@ -168,6 +187,14 @@ runExperiment(const ExperimentConfig &cfg)
     eng.setTracing(true);
     kern.run(cfg.measureInstructions);
     eng.finalizeTraces();
+
+    // The caches count with plain integers; publish once per cell
+    // (warm-up included).
+    if (telemetry::enabled()) {
+        const auto counters = eng.memory().cacheCounters();
+        countCacheLevel("l1", counters.l1);
+        countCacheLevel("l2", counters.l2);
+    }
 
     ExperimentResult res;
     res.offChip = std::move(eng.memory().offChipTrace());

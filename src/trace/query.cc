@@ -554,8 +554,8 @@ std::vector<unsigned char>
 buildArchiveHeader(std::uint32_t memberCount,
                    std::uint64_t catalogOffset)
 {
-    std::vector<unsigned char> h;
-    h.insert(h.end(), kArchiveMagic, kArchiveMagic + 4);
+    std::vector<unsigned char> h(kArchiveMagic, kArchiveMagic + 4);
+    h.reserve(kArchiveHeaderBytes);
     putU32(h, kArchiveVersion);
     putU32(h, memberCount);
     putU32(h, 0); // flags, reserved
