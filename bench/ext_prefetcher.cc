@@ -7,7 +7,9 @@
  * against fixed-depth policies (Section 4.4).
  *
  * Every evaluation routes through the prefetch-policy registry
- * (core/prefetch_policy.hh). On top of the classic depth-sweep table:
+ * (core/prefetch_policy.hh): each trace is scored under all of a row's
+ * configurations by one evaluatePolicies() pass. On top of the classic
+ * depth-sweep table:
  *
  *  - --policy NAME[,NAME...] scores the named policies (fixed,
  *    adaptive, stride, hybrid) per trace in a "prefetcher_policy"
@@ -109,29 +111,60 @@ validateExt(ExtOptions &ext, const BenchOptions &opts)
     return "";
 }
 
-/** Policy-table and budget-sweep evaluation at @p depth. */
-TsPrefetcherStats
-scorePolicy(const MissTrace &trace, const std::string &name,
-            unsigned depth, std::uint32_t historyEntries,
-            std::uint64_t &storageBytes)
+/** Replay depths of the classic depth-sweep columns. */
+constexpr unsigned kSweepDepths[] = {1u, 4u, 8u, 16u, 32u};
+
+/** A registry configuration at @p depth with @p historyEntries rings. */
+PolicyConfig
+configOf(const std::string &name, unsigned depth,
+         std::uint32_t historyEntries = TsPrefetcherConfig{}.historyEntries)
 {
-    PrefetchPolicyParams params;
-    params.ts.replayDepth = depth;
-    params.ts.historyEntries = historyEntries;
-    auto policy = makePrefetchPolicy(name, params);
-    const TsPrefetcherStats st =
-        evaluatePolicy(trace, *policy, params.ts.bufferBlocks);
-    storageBytes = policy->storageBytes();
-    return st;
+    PolicyConfig c;
+    c.name = name;
+    c.params.ts.replayDepth = depth;
+    c.params.ts.historyEntries = historyEntries;
+    return c;
+}
+
+/** The --budget-sweep policies: --policy's list (fixed by default),
+ *  without stride, which has no CMOB to move along the axis. */
+std::vector<std::string>
+budgetPolicies(const ExtOptions &ext)
+{
+    std::vector<std::string> sweep;
+    for (const std::string &name : ext.policies)
+        if (name != "stride")
+            sweep.push_back(name);
+    if (ext.policies.empty())
+        sweep.push_back("fixed");
+    return sweep;
 }
 
 std::vector<BenchRow>
 buildRows(const std::vector<RunOutput> &runs, const ExtOptions &ext)
 {
+    // Every configuration a trace is scored under, in row order: the
+    // depth sweep plus hybrid@8, the --policy rows, then the budget
+    // sweep. One evaluatePolicies() pass per trace scores them all.
+    std::vector<PolicyConfig> configs;
+    for (unsigned d : kSweepDepths)
+        configs.push_back(configOf("fixed", d));
+    configs.push_back(configOf("hybrid", 8));
+    for (const std::string &name : ext.policies)
+        configs.push_back(configOf(name, ext.replayDepth));
+    const std::vector<std::string> sweep =
+        ext.budgetSweep ? budgetPolicies(ext) : std::vector<std::string>{};
+    for (const std::string &name : sweep)
+        for (const std::uint32_t entries : kBudgetPoints)
+            configs.push_back(configOf(name, ext.replayDepth, entries));
+
     std::vector<BenchRow> rows;
     for (const RunOutput &r : runs) {
         const std::string wl(workloadName(r.workload));
         const std::string kind(traceKindName(r.kind));
+        const std::vector<PolicyScore> scores =
+            evaluatePolicies(r.trace, configs);
+        auto next = scores.begin();
 
         // The classic depth-sweep table, now routed through the
         // policy registry (previously an inline TsPrefetcher loop —
@@ -144,11 +177,8 @@ buildRows(const std::vector<RunOutput> &runs, const ExtOptions &ext)
                              wl.c_str(), kind.c_str(),
                              row.metrics[0].second);
         double acc8 = 0.0;
-        for (unsigned d : {1u, 4u, 8u, 16u, 32u}) {
-            std::uint64_t storage = 0;
-            const TsPrefetcherStats st = scorePolicy(
-                r.trace, "fixed", d, TsPrefetcherConfig{}.historyEntries,
-                storage);
+        for (unsigned d : kSweepDepths) {
+            const TsPrefetcherStats &st = (next++)->stats;
             row.text += strprintf(" %6.1f%%", 100.0 * st.coverage());
             row.metrics.emplace_back(
                 strprintf("coverage_depth_%u_pct", d),
@@ -157,10 +187,7 @@ buildRows(const std::vector<RunOutput> &runs, const ExtOptions &ext)
                 acc8 = st.accuracy();
         }
         // The paper's Section 4.3 synergy: add a stride engine.
-        std::uint64_t storage = 0;
-        const TsPrefetcherStats hs = scorePolicy(
-            r.trace, "hybrid", 8, TsPrefetcherConfig{}.historyEntries,
-            storage);
+        const TsPrefetcherStats &hs = (next++)->stats;
         row.text += strprintf(" %6.1f%% %7.1f%%", 100.0 * acc8,
                               100.0 * hs.coverage());
         row.metrics.emplace_back("accuracy_depth_8_pct", 100.0 * acc8);
@@ -170,10 +197,8 @@ buildRows(const std::vector<RunOutput> &runs, const ExtOptions &ext)
 
         // --policy: one row per named policy.
         for (const std::string &name : ext.policies) {
-            std::uint64_t bytes = 0;
-            const TsPrefetcherStats st = scorePolicy(
-                r.trace, name, ext.replayDepth,
-                TsPrefetcherConfig{}.historyEntries, bytes);
+            const TsPrefetcherStats &st = next->stats;
+            const std::uint64_t bytes = (next++)->storageBytes;
             BenchRow pr;
             pr.table = "prefetcher_policy";
             pr.trace = kind;
@@ -192,39 +217,28 @@ buildRows(const std::vector<RunOutput> &runs, const ExtOptions &ext)
         }
 
         // --budget-sweep: coverage/accuracy per CMOB budget point
-        // (Section 4.5). The stride policy has no CMOB, so it is
-        // skipped — its storage does not move along this axis.
-        if (ext.budgetSweep) {
-            std::vector<std::string> sweep = ext.policies;
-            if (sweep.empty())
-                sweep.push_back("fixed");
-            for (const std::string &name : sweep) {
-                if (name == "stride")
-                    continue;
-                for (const std::uint32_t entries : kBudgetPoints) {
-                    std::uint64_t bytes = 0;
-                    const TsPrefetcherStats st =
-                        scorePolicy(r.trace, name, ext.replayDepth,
-                                    entries, bytes);
-                    BenchRow br;
-                    br.table = "prefetcher_budget";
-                    br.trace = kind;
-                    br.policy = name;
-                    br.label = strprintf("%u", entries);
-                    br.text = strprintf(
-                        "%-10s %-12s %-9s %8u %9.0fKB %7.1f%% %7.1f%%",
-                        wl.c_str(), kind.c_str(), name.c_str(),
-                        entries, static_cast<double>(bytes) / 1024.0,
-                        100.0 * st.coverage(), 100.0 * st.accuracy());
-                    br.metrics = {
-                        {"cmob_entries",
-                         static_cast<double>(entries)},
-                        {"storage_bytes", static_cast<double>(bytes)},
-                        {"coverage_pct", 100.0 * st.coverage()},
-                        {"accuracy_pct", 100.0 * st.accuracy()},
-                    };
-                    rows.push_back(std::move(br));
-                }
+        // (Section 4.5).
+        for (const std::string &name : sweep) {
+            for (const std::uint32_t entries : kBudgetPoints) {
+                const TsPrefetcherStats &st = next->stats;
+                const std::uint64_t bytes = (next++)->storageBytes;
+                BenchRow br;
+                br.table = "prefetcher_budget";
+                br.trace = kind;
+                br.policy = name;
+                br.label = strprintf("%u", entries);
+                br.text = strprintf(
+                    "%-10s %-12s %-9s %8u %9.0fKB %7.1f%% %7.1f%%",
+                    wl.c_str(), kind.c_str(), name.c_str(), entries,
+                    static_cast<double>(bytes) / 1024.0,
+                    100.0 * st.coverage(), 100.0 * st.accuracy());
+                br.metrics = {
+                    {"cmob_entries", static_cast<double>(entries)},
+                    {"storage_bytes", static_cast<double>(bytes)},
+                    {"coverage_pct", 100.0 * st.coverage()},
+                    {"accuracy_pct", 100.0 * st.accuracy()},
+                };
+                rows.push_back(std::move(br));
             }
         }
     }
@@ -274,7 +288,7 @@ main(int argc, char **argv)
     rule();
     std::printf("%-10s %-12s %10s | depth:", "app", "context",
                 "in-streams");
-    for (unsigned d : {1u, 4u, 8u, 16u, 32u})
+    for (unsigned d : kSweepDepths)
         std::printf("  cov@%-2u", d);
     std::printf("  acc@8  hybrid@8\n");
     rule();

@@ -265,14 +265,10 @@ BM_FullStreamAnalysis(benchmark::State &state)
 }
 BENCHMARK(BM_FullStreamAnalysis)->Arg(100000)->Arg(500000);
 
-void
-BM_EvaluatePolicy(benchmark::State &state, const char *policy,
-                  unsigned depth)
+/** A seeded 16-CPU trace of @p n misses with temporal streams. */
+MissTrace
+makePrefetchTrace(std::size_t n)
 {
-    // Offline scoring of one policy over a seeded 16-CPU trace with
-    // temporal streams: the per-miss buffer check, train and drain
-    // step ext_prefetcher repeats for every row.
-    const std::size_t n = 200000;
     const auto blocks = makeInput(n, 1 << 20, 0.4);
     MissTrace trace;
     trace.numCpus = 16;
@@ -280,6 +276,18 @@ BM_EvaluatePolicy(benchmark::State &state, const char *policy,
     for (std::size_t i = 0; i < n; ++i)
         trace.misses.push_back(MissRecord{
             i, blocks[i], static_cast<CpuId>(rng.below(16)), 0, 0});
+    return trace;
+}
+
+void
+BM_EvaluatePolicy(benchmark::State &state, const char *policy,
+                  unsigned depth)
+{
+    // Offline scoring of one policy over a seeded 16-CPU trace with
+    // temporal streams: the per-miss buffer check, train and drain
+    // step of the policy harness.
+    const std::size_t n = 200000;
+    const MissTrace trace = makePrefetchTrace(n);
     PrefetchPolicyParams params;
     params.ts.replayDepth = depth;
     auto p = makePrefetchPolicy(policy, params);
@@ -294,6 +302,32 @@ BM_EvaluatePolicy(benchmark::State &state, const char *policy,
 BENCHMARK_CAPTURE(BM_EvaluatePolicy, fixed_d8, "fixed", 8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_EvaluatePolicy, hybrid, "hybrid", 8)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_EvaluatePolicies(benchmark::State &state)
+{
+    // ext_prefetcher's default row in one pass over the same trace as
+    // BM_EvaluatePolicy: fixed at depths 1/4/8/16/32 plus hybrid@8.
+    const std::size_t n = 200000;
+    const MissTrace trace = makePrefetchTrace(n);
+    std::vector<PolicyConfig> configs;
+    for (unsigned d : {1u, 4u, 8u, 16u, 32u}) {
+        PolicyConfig c;
+        c.name = "fixed";
+        c.params.ts.replayDepth = d;
+        configs.push_back(c);
+    }
+    configs.push_back(PolicyConfig{"hybrid", {}});
+    for (auto _ : state) {
+        const std::vector<PolicyScore> scores =
+            evaluatePolicies(trace, configs);
+        benchmark::DoNotOptimize(scores.front().stats.covered);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_EvaluatePolicies)->Name("BM_EvaluatePolicies/ext_row")
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -8,6 +8,80 @@
 namespace tstream
 {
 
+// ---- StreamHistory ----------------------------------------------------------
+
+void
+StreamHistory::reset(unsigned numCpus, std::uint32_t entries)
+{
+    panicIf(entries == 0, "StreamHistory: empty ring");
+    entries_ = entries;
+    // Rings start empty and grow by append (see record()); a reused
+    // history keeps their capacity.
+    rings_.resize(numCpus);
+    for (Ring &r : rings_) {
+        r.ring.clear();
+        r.head = 0;
+        r.tail = 0;
+    }
+    index_.clear();
+}
+
+StreamHistory::Hit
+StreamHistory::record(unsigned cpu, BlockId blk)
+{
+    // Stream lookup: where did this block last appear? The entry is
+    // claimed here and overwritten below, so one probe serves both.
+    const auto [last, fresh] = index_.tryEmplace(blk);
+    Hit hit;
+    if (!fresh) {
+        hit.home = last->cpu;
+        const Ring &h = rings_[hit.home];
+        hit.age = h.head - last->pos;
+        // The slot after the occurrence, counted back from the write
+        // slot (only meaningful while the ring still holds it).
+        if (hit.age <= entries_) {
+            const std::uint32_t back =
+                static_cast<std::uint32_t>(hit.age - 1);
+            hit.next = h.tail >= back ? h.tail - back
+                                      : h.tail + entries_ - back;
+        }
+    }
+
+    // Record the miss after locating it, as in the pre-API model; the
+    // append overwrites the slot age == entries_ held, which a replay
+    // never reads.
+    Ring &r = rings_[cpu];
+    if (r.ring.size() < entries_)
+        r.ring.push_back(blk); // still filling: tail == ring.size()
+    else
+        r.ring[r.tail] = blk;
+    if (++r.tail == entries_)
+        r.tail = 0;
+    last->cpu = cpu;
+    last->pos = r.head++;
+    return hit;
+}
+
+// ---- StrideRun --------------------------------------------------------------
+
+void
+StrideRun::reset(unsigned numCpus, const StrideConfig &cfg)
+{
+    detector_ = StrideDetector(cfg);
+    last_.assign(numCpus, -1);
+}
+
+std::int64_t
+StrideRun::observe(const MissRecord &m, unsigned cpu)
+{
+    const bool strided = detector_.observe(m.cpu, m.block);
+    const std::int64_t prev = last_[cpu];
+    last_[cpu] = static_cast<std::int64_t>(m.block);
+    return strided && prev >= 0
+               ? static_cast<std::int64_t>(m.block) - prev
+               : 0;
+}
+
 // ---- FixedDepthPolicy -------------------------------------------------------
 
 FixedDepthPolicy::FixedDepthPolicy(const TsPrefetcherConfig &cfg)
@@ -20,14 +94,7 @@ void
 FixedDepthPolicy::reset(unsigned numCpus)
 {
     ncpu_ = std::max(1u, numCpus);
-    // Rings start empty and grow by append (see append()); a reused
-    // policy keeps their capacity.
-    history_.resize(ncpu_);
-    for (History &h : history_) {
-        h.ring.clear();
-        h.head = 0;
-    }
-    index_.clear();
+    history_.reset(ncpu_, cfg_.historyEntries);
     pending_.clear();
     lookups_ = 0;
 }
@@ -39,55 +106,25 @@ FixedDepthPolicy::depthFor(std::uint32_t home) const
     return cfg_.replayDepth;
 }
 
-std::uint64_t
-FixedDepthPolicy::append(unsigned cpu, BlockId blk)
-{
-    History &h = history_[cpu];
-    if (h.ring.size() < cfg_.historyEntries)
-        h.ring.push_back(blk); // still filling: head == ring.size()
-    else
-        h.ring[static_cast<std::size_t>(h.head % cfg_.historyEntries)] =
-            blk;
-    return h.head++;
-}
-
 void
 FixedDepthPolicy::observeMiss(const MissRecord &m)
 {
     const unsigned cpu = m.cpu < ncpu_ ? m.cpu : 0;
-
-    // Stream lookup: where did this block last appear? The entry is
-    // claimed here and overwritten below, so one probe serves both.
-    const auto [last, fresh] = index_.tryEmplace(m.block);
-    if (!fresh && (cfg_.crossCpu || last->cpu == cpu)) {
-        const std::uint32_t home = last->cpu;
-        const std::uint64_t at = last->pos;
-        const History &h = history_[home];
-        // The located occurrence must still be inside the ring.
-        if (h.head - at <= cfg_.historyEntries) {
-            lookups_++;
-            // Replay the addresses that followed it, up to the depth,
-            // staying within what has actually been recorded. The tag
-            // is the stream's home CPU, so usefulness feedback reaches
-            // the right per-stream accuracy window in the adaptive
-            // subclass.
-            const std::uint32_t depth = depthFor(home);
-            for (std::uint32_t k = 1; k <= depth; ++k) {
-                const std::uint64_t next = at + k;
-                if (next >= h.head)
-                    break;
-                pending_.push_back(PrefetchCandidate{
-                    h.ring[static_cast<std::size_t>(
-                        next % cfg_.historyEntries)],
-                    home});
-            }
-        }
-    }
-
-    // Record the miss in this CPU's history (after the replay read the
-    // pre-miss state, as in the pre-API model).
-    last->pos = append(cpu, m.block);
-    last->cpu = cpu;
+    const StreamHistory::Hit hit = history_.record(cpu, m.block);
+    if (!StreamHistory::replayable(hit, cpu, cfg_.historyEntries,
+                                   cfg_.crossCpu))
+        return;
+    lookups_++;
+    // Replay the addresses that followed the occurrence, up to the
+    // depth. The tag is the stream's home CPU, so usefulness feedback
+    // reaches the right per-stream accuracy window in the adaptive
+    // subclass.
+    const StreamHistory::Replay r =
+        history_.replay(hit, depthFor(hit.home));
+    for (std::uint32_t i = 0; i < r.firstLen; ++i)
+        pending_.push_back(PrefetchCandidate{r.first[i], hit.home});
+    for (std::uint32_t i = 0; i < r.wrappedLen; ++i)
+        pending_.push_back(PrefetchCandidate{r.wrapped[i], hit.home});
 }
 
 void
@@ -171,31 +208,20 @@ void
 StridePolicy::reset(unsigned numCpus)
 {
     ncpu_ = std::max(1u, numCpus);
-    stride_ = std::make_unique<StrideDetector>(cfg_.stride);
-    last_.assign(ncpu_, -1);
+    run_.reset(ncpu_, cfg_.stride);
     pending_.clear();
 }
 
 void
 StridePolicy::observeMiss(const MissRecord &m)
 {
-    const unsigned cpu = m.cpu < ncpu_ ? m.cpu : 0;
-    // On a confirmed run, fetch ahead (the detector sees the raw CPU
-    // id, as the pre-API hybrid did).
-    const bool strided = stride_->observe(m.cpu, m.block);
-    if (strided && last_[cpu] >= 0) {
-        const std::int64_t delta =
-            static_cast<std::int64_t>(m.block) - last_[cpu];
-        if (delta != 0) {
-            for (unsigned k = 1; k <= cfg_.degree; ++k)
-                pending_.push_back(PrefetchCandidate{
-                    static_cast<BlockId>(
-                        static_cast<std::int64_t>(m.block) +
-                        delta * static_cast<std::int64_t>(k)),
-                    0});
-        }
-    }
-    last_[cpu] = static_cast<std::int64_t>(m.block);
+    // On a confirmed run, fetch ahead.
+    const std::int64_t delta =
+        run_.observe(m, m.cpu < ncpu_ ? m.cpu : 0);
+    if (delta != 0)
+        for (unsigned k = 1; k <= cfg_.degree; ++k)
+            pending_.push_back(
+                PrefetchCandidate{StrideRun::target(m.block, delta, k), 0});
 }
 
 void
@@ -319,35 +345,185 @@ makePrefetchPolicy(std::string_view name,
     return nullptr;
 }
 
+namespace
+{
+
+/**
+ * The feedback-free shape of a registry configuration: temporal replay
+ * (when historyEntries != 0), then stride run-ahead (when strideDegree
+ * != 0), into per-CPU buffers of bufferBlocks.
+ */
+struct ReplayPlan
+{
+    std::uint32_t historyEntries = 0;
+    std::uint32_t replayDepth = 0;
+    bool crossCpu = true;
+    unsigned strideDegree = 0;
+    std::uint32_t bufferBlocks = 0;
+};
+
+/**
+ * What makePrefetchPolicy(c.name, c.params) replays, for the one-pass
+ * evaluation; false for a policy that reads usefulness feedback
+ * (adaptive) or an unknown name.
+ */
+bool
+replayPlanOf(const PolicyConfig &c, ReplayPlan &plan)
+{
+    const bool temporal = c.name == "fixed" || c.name == "hybrid";
+    const bool stride = c.name == "stride" || c.name == "hybrid";
+    if (!temporal && !stride)
+        return false;
+    plan.bufferBlocks = c.params.ts.bufferBlocks;
+    if (temporal) {
+        plan.historyEntries = c.params.ts.historyEntries;
+        plan.replayDepth = c.params.ts.replayDepth;
+        plan.crossCpu = c.params.ts.crossCpu;
+    }
+    if (stride)
+        plan.strideDegree = c.params.strideDegree;
+    return true;
+}
+
+} // namespace
+
 // ---- harness ----------------------------------------------------------------
 
 namespace
 {
 
 /**
- * Per-CPU prefetch buffer: the live entries blocks[head, tail) and
- * their tags, in FIFO order. Both arrays are sized once, to twice the
- * buffer capacity: displacement advances head, and the dead front is
- * compacted away once it spans a whole buffer, so no miss allocates.
+ * Per-CPU FIFO prefetch buffer: the live entries blocks[head, tail)
+ * and, when the harness routes usefulness feedback, their tags. The
+ * arrays are sized once, to twice the buffer capacity: displacement
+ * advances head, and the dead front is compacted away when an insert
+ * would run past the end, so no miss allocates.
  */
-struct Buffer
+class PrefetchFifo
 {
-    explicit Buffer(std::uint32_t capacity)
-        : blocks(2 * std::size_t{capacity}),
-          tags(2 * std::size_t{capacity})
+  public:
+    PrefetchFifo(std::uint32_t capacity, bool tagged)
+        : cap_(capacity), blocks_(2 * std::size_t{capacity}),
+          tags_(tagged ? 2 * std::size_t{capacity} : 0)
     {
     }
 
-    std::vector<BlockId> blocks;
-    std::vector<std::uint32_t> tags;
-    std::uint32_t head = 0;
-    std::uint32_t tail = 0;
+    /**
+     * Demand check: remove every buffered copy of @p blk, closing the
+     * gaps stably, and hand each copy's tag to @p useful in FIFO order
+     * (tagged buffers only).
+     * @return the copies removed; 0 when @p blk was not buffered.
+     */
+    template <typename Useful>
+    std::uint32_t
+    consume(BlockId blk, Useful &&useful)
+    {
+        std::uint32_t i = head_;
+        while (i < tail_ && blocks_[i] != blk)
+            ++i;
+        if (i == tail_)
+            return 0;
+        const bool tagged = !tags_.empty();
+        std::uint32_t kept = i;
+        for (; i < tail_; ++i) {
+            if (blocks_[i] == blk) {
+                if (tagged)
+                    useful(tags_[i]);
+            } else {
+                blocks_[kept] = blocks_[i];
+                if (tagged)
+                    tags_[kept] = tags_[i];
+                ++kept;
+            }
+        }
+        const std::uint32_t copies = tail_ - kept;
+        tail_ = kept;
+        return copies;
+    }
+
+    /**
+     * Append @p n blocks in order, displacing the oldest entries
+     * beyond capacity — a burst longer than the buffer displaces its
+     * own first blocks at once. Untagged buffers only.
+     * @return the entries displaced.
+     */
+    std::uint32_t
+    push(const BlockId *blocks, std::uint32_t n)
+    {
+        std::uint32_t skip = 0;
+        const std::uint32_t displaced = makeRoom(n, skip);
+        for (std::uint32_t k = skip; k < n; ++k)
+            blocks_[tail_++] = blocks[k];
+        return displaced;
+    }
+
+    /** push() for a tagged buffer: each block carries its tag. */
+    std::uint32_t
+    push(const PrefetchCandidate *cands, std::uint32_t n)
+    {
+        std::uint32_t skip = 0;
+        const std::uint32_t displaced = makeRoom(n, skip);
+        for (std::uint32_t k = skip; k < n; ++k, ++tail_) {
+            blocks_[tail_] = cands[k].block;
+            tags_[tail_] = cands[k].tag;
+        }
+        return displaced;
+    }
+
+  private:
+    /**
+     * Displace what an @p n-block burst pushes out and make room for
+     * its last min(n, capacity) blocks at tail_; @p skip is set to the
+     * number of the burst's own first blocks displaced at once.
+     * @return the entries displaced, those included.
+     */
+    std::uint32_t
+    makeRoom(std::uint32_t n, std::uint32_t &skip)
+    {
+        std::uint32_t displaced = 0;
+        if (n >= cap_) {
+            skip = n - cap_;
+            displaced = tail_ - head_ + skip;
+            head_ = tail_ = 0;
+        } else if (tail_ - head_ + n > cap_) {
+            displaced = tail_ - head_ + n - cap_;
+            head_ += displaced;
+        }
+        // At most cap_ - (n - skip) entries are live now: slide them
+        // down when the burst would run past the arrays.
+        if (tail_ + (n - skip) > blocks_.size()) {
+            std::copy(blocks_.begin() + head_, blocks_.begin() + tail_,
+                      blocks_.begin());
+            if (!tags_.empty())
+                std::copy(tags_.begin() + head_, tags_.begin() + tail_,
+                          tags_.begin());
+            tail_ -= head_;
+            head_ = 0;
+        }
+        return displaced;
+    }
+
+    std::uint32_t cap_;
+    std::vector<BlockId> blocks_;
+    std::vector<std::uint32_t> tags_;
+    std::uint32_t head_ = 0;
+    std::uint32_t tail_ = 0;
 };
 
+/** Score a demand check that removed @p copies buffered prefetches. */
+void
+creditCopies(TsPrefetcherStats &stats, std::uint32_t copies)
+{
+    if (copies != 0) {
+        stats.covered++;
+        stats.useful += copies;
+    }
+}
+
 /**
- * The shared per-miss step: demand check with usefulness feedback,
- * train, drain, insert with FIFO displacement. Bit-identical to the
- * pre-API TsPrefetcher loops — candidates are inserted after the
+ * The shared per-miss step for any policy: demand check with usefulness
+ * feedback, train, drain, insert with FIFO displacement. Bit-identical
+ * to the pre-API TsPrefetcher loops — candidates are inserted after the
  * policy observed the miss, but insertion only touches the buffer, so
  * the order change is unobservable.
  */
@@ -356,11 +532,10 @@ class Harness
   public:
     Harness(PrefetchPolicy &policy, std::uint32_t bufferBlocks,
             unsigned numCpus)
-        : policy_(policy), bufferBlocks_(bufferBlocks),
-          ncpu_(std::max(1u, numCpus)),
-          buffers_(ncpu_, Buffer(bufferBlocks))
+        : policy_(policy), ncpu_(std::max(1u, numCpus)),
+          buffers_(ncpu_, PrefetchFifo(bufferBlocks, true))
     {
-        panicIf(bufferBlocks_ == 0, "prefetch harness: empty buffer");
+        panicIf(bufferBlocks == 0, "prefetch harness: empty buffer");
         policy_.reset(ncpu_);
     }
 
@@ -369,18 +544,21 @@ class Harness
     step(const MissRecord &m)
     {
         const unsigned cpu = m.cpu < ncpu_ ? m.cpu : 0;
-        Buffer &buf = buffers_[cpu];
+        PrefetchFifo &buf = buffers_[cpu];
         stats_.misses++;
 
-        const bool covered = consume(buf, m.block);
+        const std::uint32_t copies = buf.consume(
+            m.block, [this](std::uint32_t tag) { policy_.noteUseful(tag); });
+        creditCopies(stats_, copies);
 
         // Train on every miss (covered or not), then issue.
         policy_.observeMiss(m);
         scratch_.clear();
         policy_.drainPrefetches(scratch_);
-        for (const PrefetchCandidate &c : scratch_)
-            insert(buf, c);
-        return covered;
+        const auto n = static_cast<std::uint32_t>(scratch_.size());
+        stats_.issued += n;
+        stats_.evictions += buf.push(scratch_.data(), n);
+        return copies != 0;
     }
 
     /** Aggregate stats with the policy's lookup count folded in. */
@@ -393,63 +571,9 @@ class Harness
     }
 
   private:
-    /**
-     * Demand check: if @p blk is buffered, consume every copy, crediting
-     * each issuer in FIFO order, and close the gaps stably.
-     * @return whether the buffer held @p blk.
-     */
-    bool
-    consume(Buffer &buf, BlockId blk)
-    {
-        std::uint32_t i = buf.head;
-        while (i < buf.tail && buf.blocks[i] != blk)
-            ++i;
-        if (i == buf.tail)
-            return false;
-        stats_.covered++;
-        std::uint32_t kept = i;
-        for (; i < buf.tail; ++i) {
-            if (buf.blocks[i] == blk) {
-                stats_.useful++;
-                policy_.noteUseful(buf.tags[i]);
-            } else {
-                buf.blocks[kept] = buf.blocks[i];
-                buf.tags[kept] = buf.tags[i];
-                ++kept;
-            }
-        }
-        buf.tail = kept;
-        return true;
-    }
-
-    void
-    insert(Buffer &buf, const PrefetchCandidate &c)
-    {
-        stats_.issued++;
-        buf.blocks[buf.tail] = c.block;
-        buf.tags[buf.tail] = c.tag;
-        buf.tail++;
-        // FIFO displacement.
-        if (buf.tail - buf.head > bufferBlocks_) {
-            buf.head++;
-            stats_.evictions++;
-        }
-        // A whole buffer of dead front entries: slide the live ones
-        // down so the next inserts stay inside the arrays.
-        if (buf.head == bufferBlocks_) {
-            std::copy(buf.blocks.begin() + buf.head,
-                      buf.blocks.begin() + buf.tail, buf.blocks.begin());
-            std::copy(buf.tags.begin() + buf.head,
-                      buf.tags.begin() + buf.tail, buf.tags.begin());
-            buf.tail -= buf.head;
-            buf.head = 0;
-        }
-    }
-
     PrefetchPolicy &policy_;
-    std::uint32_t bufferBlocks_;
     unsigned ncpu_;
-    std::vector<Buffer> buffers_;
+    std::vector<PrefetchFifo> buffers_;
     std::vector<PrefetchCandidate> scratch_;
     TsPrefetcherStats stats_;
 };
@@ -464,6 +588,82 @@ countPrefetchStats(const TsPrefetcherStats &s)
     telemetry::count("prefetch.evictions", s.evictions);
 }
 
+/** evaluatePolicy() without its span and counters. */
+TsPrefetcherStats
+runHarness(const MissTrace &trace, PrefetchPolicy &policy,
+           std::uint32_t bufferBlocks)
+{
+    Harness harness(policy, bufferBlocks, trace.numCpus);
+    for (const MissRecord &m : trace.misses)
+        harness.step(m);
+    return harness.stats();
+}
+
+/** One feedback-free configuration of the one-pass evaluation: its
+ *  replay plan, its own per-CPU prefetch buffers and its score. */
+struct Lane
+{
+    ReplayPlan plan;
+    PolicyScore *score;
+    std::vector<PrefetchFifo> buffers;
+};
+
+/**
+ * The one-pass evaluation: record every miss once in the shared history
+ * and stride run, then give each lane the same demand check, replay and
+ * stride steps the Harness would run through its policy.
+ */
+void
+scoreInOnePass(const MissTrace &trace, unsigned ncpu,
+               std::vector<Lane> &lanes)
+{
+    std::uint32_t ringEntries = 0;
+    unsigned aheadMax = 0;
+    for (const Lane &l : lanes) {
+        ringEntries = std::max(ringEntries, l.plan.historyEntries);
+        aheadMax = std::max(aheadMax, l.plan.strideDegree);
+    }
+    StreamHistory history;
+    if (ringEntries != 0)
+        history.reset(ncpu, ringEntries);
+    StrideRun stride;
+    if (aheadMax != 0)
+        stride.reset(ncpu, StrideConfig{});
+    std::vector<BlockId> ahead(aheadMax);
+
+    for (const MissRecord &m : trace.misses) {
+        const unsigned cpu = m.cpu < ncpu ? m.cpu : 0;
+        const StreamHistory::Hit hit = ringEntries != 0
+                                           ? history.record(cpu, m.block)
+                                           : StreamHistory::Hit{};
+        const std::int64_t delta =
+            aheadMax != 0 ? stride.observe(m, cpu) : 0;
+        for (unsigned k = 0; delta != 0 && k < aheadMax; ++k)
+            ahead[k] = StrideRun::target(m.block, delta, k + 1);
+
+        for (Lane &l : lanes) {
+            PrefetchFifo &buf = l.buffers[cpu];
+            TsPrefetcherStats &st = l.score->stats;
+            creditCopies(st, buf.consume(m.block, [](std::uint32_t) {}));
+            if (StreamHistory::replayable(hit, cpu, l.plan.historyEntries,
+                                          l.plan.crossCpu)) {
+                st.streamLookups++;
+                const StreamHistory::Replay r =
+                    history.replay(hit, l.plan.replayDepth);
+                st.issued += r.firstLen + r.wrappedLen;
+                st.evictions += buf.push(r.first, r.firstLen);
+                st.evictions += buf.push(r.wrapped, r.wrappedLen);
+            }
+            if (delta != 0 && l.plan.strideDegree != 0) {
+                st.issued += l.plan.strideDegree;
+                st.evictions += buf.push(ahead.data(), l.plan.strideDegree);
+            }
+        }
+    }
+    for (Lane &l : lanes)
+        l.score->stats.misses = trace.misses.size();
+}
+
 } // namespace
 
 TsPrefetcherStats
@@ -474,11 +674,7 @@ evaluatePolicy(const MissTrace &trace, PrefetchPolicy &policy,
     if (span.active())
         span.arg("policy", policy.name());
 
-    Harness harness(policy, bufferBlocks, trace.numCpus);
-    for (const MissRecord &m : trace.misses)
-        harness.step(m);
-
-    const TsPrefetcherStats stats = harness.stats();
+    const TsPrefetcherStats stats = runHarness(trace, policy, bufferBlocks);
     if (span.active()) {
         span.arg("misses",
                  static_cast<std::int64_t>(stats.misses));
@@ -486,6 +682,47 @@ evaluatePolicy(const MissTrace &trace, PrefetchPolicy &policy,
     }
     countPrefetchStats(stats);
     return stats;
+}
+
+std::vector<PolicyScore>
+evaluatePolicies(const MissTrace &trace,
+                 const std::vector<PolicyConfig> &configs)
+{
+    telemetry::Span span("prefetch.evaluate", "prefetch");
+    if (span.active()) {
+        span.arg("configs", static_cast<std::int64_t>(configs.size()));
+        span.arg("misses",
+                 static_cast<std::int64_t>(trace.misses.size()));
+    }
+
+    const unsigned ncpu = std::max(1u, trace.numCpus);
+    std::vector<PolicyScore> scores(configs.size());
+    std::vector<Lane> lanes;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const PolicyConfig &c = configs[i];
+        const auto policy = makePrefetchPolicy(c.name, c.params);
+        panicIf(!policy, "evaluatePolicies: unknown policy '" + c.name +
+                             "'");
+        ReplayPlan plan;
+        if (replayPlanOf(c, plan)) {
+            panicIf(plan.bufferBlocks == 0,
+                    "evaluatePolicies: empty buffer");
+            lanes.push_back(Lane{
+                plan, &scores[i],
+                std::vector<PrefetchFifo>(
+                    ncpu, PrefetchFifo(plan.bufferBlocks, false))});
+            policy->reset(ncpu);
+        } else {
+            scores[i].stats =
+                runHarness(trace, *policy, c.params.ts.bufferBlocks);
+        }
+        scores[i].storageBytes = policy->storageBytes();
+    }
+    scoreInOnePass(trace, ncpu, lanes);
+
+    for (const PolicyScore &s : scores)
+        countPrefetchStats(s.stats);
+    return scores;
 }
 
 // ---- in-the-loop engine -----------------------------------------------------

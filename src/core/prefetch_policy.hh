@@ -2,9 +2,18 @@
  * @file
  * Pluggable prefetch-policy API.
  *
- * The temporal-streaming prefetcher model (ts_prefetcher.hh) used to
- * be a closed class with two special-cased entry points. This header
- * turns the mechanism into a policy interface: a policy consumes the
+ * The paper is the characterization behind the temporal-streaming
+ * prefetcher line (TSE [25], STEMS, and successors): record the miss
+ * sequence in a history buffer, locate the previous occurrence of a
+ * missing address, and replay the addresses that followed it. The
+ * model reports the standard figures of merit (TsPrefetcherStats):
+ *
+ *  - coverage: fraction of misses eliminated by an earlier prefetch;
+ *  - accuracy: fraction of issued prefetches that were useful;
+ *  - timeliness is not modeled (the traces are timing-free), matching
+ *    the paper's hardware-independent stance.
+ *
+ * The mechanism is a policy interface: a policy consumes the
  * demand-miss stream one record at a time (observeMiss), hands back
  * the blocks it wants prefetched (drainPrefetches), learns from
  * feedback when a prefetched block absorbs a later miss (noteUseful),
@@ -16,14 +25,18 @@
  *
  *  - evaluatePolicy() replays a collected trace through a policy and
  *    scores coverage/accuracy offline (the classic trace-driven mode);
+ *  - evaluatePolicies() scores a whole family of configurations in one
+ *    pass over the trace: the history rings, block index and stride
+ *    detector are built once, and every feedback-free configuration
+ *    (fixed, stride, hybrid) keeps only its own prefetch buffers;
  *  - PrefetchLoopEngine adapts a policy to the MemorySystem's
  *    PrefetchLoopHook so issued prefetches absorb misses *during* the
  *    simulation and covered misses vanish from the recorded trace
  *    (prefetcher-in-the-loop mode).
  *
- * Both drive the same per-CPU FIFO prefetch buffer with the same
- * demand-check-then-train step, so offline scores and in-the-loop
- * trace thinning agree by construction.
+ * All of them drive the same per-CPU FIFO prefetch buffer with the
+ * same demand-check-then-train step, so offline scores, one-pass scores
+ * and in-the-loop trace thinning agree by construction.
  *
  * Concrete policies:
  *
@@ -43,6 +56,7 @@
 #ifndef TSTREAM_CORE_PREFETCH_POLICY_HH
 #define TSTREAM_CORE_PREFETCH_POLICY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -50,13 +64,57 @@
 #include <vector>
 
 #include "core/stride.hh"
-#include "core/ts_prefetcher.hh"
 #include "mem/block_map.hh"
 #include "mem/memory_system.hh"
 #include "trace/record.hh"
 
 namespace tstream
 {
+
+/** Configuration of the temporal-streaming prefetcher. */
+struct TsPrefetcherConfig
+{
+    /** History buffer entries per CPU. */
+    std::uint32_t historyEntries = 1 << 18;
+    /** Addresses replayed per stream lookup. */
+    std::uint32_t replayDepth = 8;
+    /** Prefetch buffer capacity (blocks) per CPU. */
+    std::uint32_t bufferBlocks = 64;
+    /**
+     * Cross-CPU lookups: a miss may locate its stream in another
+     * CPU's history (the paper's streams recur across processors).
+     */
+    bool crossCpu = true;
+};
+
+/** Result of evaluating a prefetch policy over one trace. */
+struct TsPrefetcherStats
+{
+    std::uint64_t misses = 0;        ///< demand misses observed
+    std::uint64_t covered = 0;       ///< eliminated by a prefetch
+    std::uint64_t issued = 0;        ///< prefetches issued
+    std::uint64_t useful = 0;        ///< prefetches that were hit
+    std::uint64_t evictions = 0;     ///< buffer entries displaced unused
+    std::uint64_t streamLookups = 0; ///< index hits that replayed
+
+    double
+    coverage() const
+    {
+        return misses == 0
+                   ? 0.0
+                   : static_cast<double>(covered) /
+                         static_cast<double>(misses);
+    }
+
+    double
+    accuracy() const
+    {
+        return issued == 0
+                   ? 0.0
+                   : static_cast<double>(useful) /
+                         static_cast<double>(issued);
+    }
+};
 
 /**
  * One block a policy wants prefetched. The tag is policy-private: it
@@ -125,19 +183,149 @@ class PrefetchPolicy
 };
 
 // ---------------------------------------------------------------------------
+// Predictor state shared by the policies and the one-pass evaluation
+// ---------------------------------------------------------------------------
+
+/**
+ * The temporal-streaming predictor's training state: a per-CPU circular
+ * history of miss blocks plus a global block -> last-position index.
+ * Every miss is recorded whether or not a prefetch covered it, so the
+ * state does not depend on replay depth, prefetch buffer or cross-CPU
+ * setting. A ring of fewer entries is the same history with an earlier
+ * cutoff (an occurrence @c age appends back is still held by a ring of
+ * at least @c age entries), which lets one history at the largest ring
+ * size serve every configuration of a family.
+ *
+ * The index is a BlockMap (the memory model's page-chunked table), and
+ * each ring grows by append up to its size instead of being
+ * zero-filled on reset().
+ */
+class StreamHistory
+{
+  public:
+    /** Where a miss found its stream (the state before it was
+     *  recorded). */
+    struct Hit
+    {
+        std::uint32_t home = 0; ///< CPU whose history holds it
+        /** home's appends since the occurrence; 0 when the block was
+         *  never seen. */
+        std::uint64_t age = 0;
+        /** Ring slot of the block that followed the occurrence (valid
+         *  while the ring still holds the occurrence). */
+        std::uint32_t next = 0;
+    };
+
+    /** The blocks that followed a located occurrence, in order: at
+     *  most two ring pieces, the second one after the wrap. */
+    struct Replay
+    {
+        const BlockId *first = nullptr;
+        std::uint32_t firstLen = 0;
+        const BlockId *wrapped = nullptr;
+        std::uint32_t wrappedLen = 0;
+    };
+
+    /** Empty the rings (each of @p entries blocks) and the index. */
+    void reset(unsigned numCpus, std::uint32_t entries);
+
+    /** Locate @p blk's previous occurrence, then append it to @p cpu's
+     *  history. @p cpu must be below reset()'s numCpus. */
+    Hit record(unsigned cpu, BlockId blk);
+
+    /** Whether a configuration with @p entries-block rings replays
+     *  @p hit for a miss on @p cpu: the occurrence exists, is still
+     *  inside such a ring, and is @p cpu's own unless @p crossCpu. */
+    static bool
+    replayable(const Hit &hit, unsigned cpu, std::uint32_t entries,
+               bool crossCpu)
+    {
+        return hit.age != 0 && hit.age <= entries &&
+               (crossCpu || hit.home == cpu);
+    }
+
+    /** The up-to-@p depth recorded blocks that followed @p hit's
+     *  occurrence; @p hit must be replayable with rings no larger
+     *  than this history's. */
+    Replay
+    replay(const Hit &hit, std::uint32_t depth) const
+    {
+        const std::vector<BlockId> &ring = rings_[hit.home].ring;
+        const std::uint32_t n = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(depth, hit.age - 1));
+        Replay r;
+        r.first = ring.data() + hit.next;
+        r.firstLen = std::min<std::uint32_t>(
+            n, static_cast<std::uint32_t>(ring.size()) - hit.next);
+        r.wrapped = ring.data();
+        r.wrappedLen = n - r.firstLen;
+        return r;
+    }
+
+  private:
+    struct Position
+    {
+        std::uint32_t cpu;
+        std::uint64_t pos; ///< absolute append index into the history
+    };
+
+    /** One CPU's ring: grows by append until it holds entries_
+     *  blocks, then wraps at @c tail. */
+    struct Ring
+    {
+        std::vector<BlockId> ring;
+        std::uint64_t head = 0; ///< total appended
+        std::uint32_t tail = 0; ///< slot the next append writes
+    };
+
+    std::uint32_t entries_ = 0;
+    std::vector<Ring> rings_;
+    BlockMap<Position> index_;
+};
+
+/**
+ * The stride engine's training state: a per-CPU StrideDetector plus
+ * each CPU's last miss block. A confirmed run fetches
+ * target(blk, delta, k) for k = 1..degree.
+ */
+class StrideRun
+{
+  public:
+    /** Forget every run; size for @p numCpus CPUs. */
+    void reset(unsigned numCpus, const StrideConfig &cfg);
+
+    /**
+     * Train on @p m, whose CPU the harness mapped to @p cpu (the
+     * detector itself sees the raw CPU id, as the pre-API hybrid did).
+     * @return the confirmed run's block delta; 0 when nothing is to be
+     * fetched.
+     */
+    std::int64_t observe(const MissRecord &m, unsigned cpu);
+
+    /** The @p k-th block ahead of @p blk on a run of @p delta. */
+    static BlockId
+    target(BlockId blk, std::int64_t delta, unsigned k)
+    {
+        return static_cast<BlockId>(static_cast<std::int64_t>(blk) +
+                                    delta * static_cast<std::int64_t>(k));
+    }
+
+  private:
+    StrideDetector detector_;
+    std::vector<std::int64_t> last_; ///< per-CPU last miss block
+};
+
+// ---------------------------------------------------------------------------
 // Concrete policies
 // ---------------------------------------------------------------------------
 
 /**
- * The classic temporal-streaming policy at a fixed replay depth:
- * per-CPU circular history, global block -> last-position index,
- * replay of the @c replayDepth successors. Bit-identical to the
- * pre-API TsPrefetcher::evaluate() when driven by evaluatePolicy()
- * with the same TsPrefetcherConfig.
- *
- * The index is a BlockMap (the memory model's page-chunked table), and
- * each ring grows by append up to @c historyEntries instead of being
- * zero-filled on reset(); storageBytes() still charges the full ring.
+ * The classic temporal-streaming policy at a fixed replay depth: a
+ * StreamHistory of @c historyEntries blocks per CPU and replay of the
+ * @c replayDepth successors. Bit-identical to the pre-API
+ * TsPrefetcher::evaluate() when driven by evaluatePolicy() with the
+ * same TsPrefetcherConfig. storageBytes() charges the full rings, however
+ * much of them has been recorded.
  */
 class FixedDepthPolicy : public PrefetchPolicy
 {
@@ -152,31 +340,13 @@ class FixedDepthPolicy : public PrefetchPolicy
     std::uint64_t streamLookups() const override { return lookups_; }
 
   protected:
-    struct HistoryPos
-    {
-        std::uint32_t cpu;
-        std::uint64_t pos; ///< absolute append index into the history
-    };
-
-    /** Per-CPU circular history of miss blocks. The ring grows by
-     *  append until it holds historyEntries blocks, then wraps. */
-    struct History
-    {
-        std::vector<BlockId> ring;
-        std::uint64_t head = 0; ///< total appended
-    };
-
     /** Replay depth for a stream located in @p home's history. The
      *  adaptive subclass modulates this per home CPU. */
     virtual std::uint32_t depthFor(std::uint32_t home) const;
 
-    /** Record @p blk in @p cpu's history. @return its position. */
-    std::uint64_t append(unsigned cpu, BlockId blk);
-
     TsPrefetcherConfig cfg_;
     unsigned ncpu_ = 0;
-    std::vector<History> history_;
-    BlockMap<HistoryPos> index_;
+    StreamHistory history_;
     std::vector<PrefetchCandidate> pending_;
     std::uint64_t lookups_ = 0;
 };
@@ -257,8 +427,7 @@ class StridePolicy : public PrefetchPolicy
   private:
     StridePolicyConfig cfg_;
     unsigned ncpu_ = 0;
-    std::unique_ptr<StrideDetector> stride_;
-    std::vector<std::int64_t> last_; ///< per-CPU last miss block
+    StrideRun run_;
     std::vector<PrefetchCandidate> pending_;
 };
 
@@ -339,6 +508,40 @@ makePrefetchPolicy(std::string_view name,
 TsPrefetcherStats evaluatePolicy(const MissTrace &trace,
                                  PrefetchPolicy &policy,
                                  std::uint32_t bufferBlocks = 64);
+
+/** One configuration of evaluatePolicies(): a registry name and its
+ *  parameters (params.ts.bufferBlocks sizes the prefetch buffer). */
+struct PolicyConfig
+{
+    std::string name;
+    PrefetchPolicyParams params;
+};
+
+/** A configuration's score: its stats and predictor storage. */
+struct PolicyScore
+{
+    TsPrefetcherStats stats;
+    std::uint64_t storageBytes = 0;
+};
+
+/**
+ * Score every configuration of @p configs over @p trace, in input
+ * order; each score equals what evaluatePolicy() gives a fresh
+ * makePrefetchPolicy(name, params) with params.ts.bufferBlocks.
+ *
+ * The feedback-free policies (fixed, stride, hybrid) are scored in one
+ * Mattson-style pass: it records each miss once in a StreamHistory
+ * sized to the largest ring of the family and in one StrideRun, and
+ * each configuration keeps only its own per-CPU prefetch buffers, into
+ * which its replay window (at most two ring pieces) and stride
+ * candidates are copied in bulk. The adaptive policy reads usefulness
+ * feedback, so it keeps a harness of its own. Emits one
+ * prefetch.evaluate span and the prefetch.* counters of every
+ * configuration. Panics on an unknown policy name or an empty buffer.
+ */
+std::vector<PolicyScore>
+evaluatePolicies(const MissTrace &trace,
+                 const std::vector<PolicyConfig> &configs);
 
 /**
  * Prefetcher-in-the-loop adapter: attach() installs the engine as the

@@ -61,6 +61,17 @@ class Sequitur
     /** Append one terminal (below kTerminalLimit) to the input. */
     void append(std::uint64_t terminal);
 
+    /**
+     * Hint that the digram of terminals (@p a, @p b) is about to be
+     * appended: load its digram-table home slot into the host's cache.
+     * Only a load, so the grammar is the same with or without it.
+     */
+    void
+    prefetchDigram(std::uint32_t a, std::uint32_t b) const
+    {
+        index_.prefetch(digramKey(a, b));
+    }
+
     /** Append a whole sequence. */
     void
     appendAll(const std::vector<std::uint64_t> &seq)
@@ -209,6 +220,13 @@ class Sequitur
 
         /** Remove @p key only if it currently maps to @p ifSym. */
         void erase(std::uint64_t key, SymIdx ifSym);
+
+        /** Load the home slot of @p key into the host's cache. */
+        void
+        prefetch(std::uint64_t key) const
+        {
+            __builtin_prefetch(&slots_[home(key)]);
+        }
 
       private:
         /** 16 B with padding. */

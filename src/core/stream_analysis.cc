@@ -145,15 +145,32 @@ analyzeStreams(const MissTrace &trace, const StreamAnalysisConfig &cfg)
             span.arg("symbols", static_cast<std::int64_t>(inputLen));
         BlockMap<std::uint32_t> intern;
         std::uint32_t nextId = 0;
-        for (const std::uint32_t mi : posToMiss) {
-            if (mi == kSentinel) {
-                g.append(nextId++);
-                continue;
-            }
+        auto internAt = [&](std::uint32_t pos) {
+            const std::uint32_t mi = posToMiss[pos];
+            if (mi == kSentinel)
+                return nextId++;
             auto [id, fresh] = intern.tryEmplace(trace.misses[mi].block);
             if (fresh)
                 *id = nextId++;
-            g.append(*id);
+            return *id;
+        };
+        // Interning runs kAhead symbols in front of append(), in the
+        // same input order (so the ids are unchanged), and hints the
+        // digram table about the digram append() will look up then:
+        // on a large trace its home slot is a host cache miss.
+        // ahead[p % kAhead] holds the id of position p.
+        constexpr std::uint32_t kAhead = 16;
+        std::uint32_t ahead[kAhead];
+        for (std::uint32_t p = 0; p < std::min(kAhead, inputLen); ++p)
+            ahead[p] = internAt(p);
+        for (std::uint32_t p = 0; p < inputLen; ++p) {
+            const std::uint32_t id = ahead[p % kAhead];
+            if (p + kAhead < inputLen) {
+                const std::uint32_t far = internAt(p + kAhead);
+                g.prefetchDigram(ahead[(p + kAhead - 1) % kAhead], far);
+                ahead[p % kAhead] = far;
+            }
+            g.append(id);
         }
     }
     const std::vector<std::uint64_t> ruleLen = g.ruleLengths();

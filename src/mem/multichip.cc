@@ -49,9 +49,16 @@ MultiChipSystem::probeL2(unsigned node, BlockId blk) const
 void
 MultiChipSystem::invalidateNode(unsigned node, BlockId blk)
 {
-    for (Cache *c : {&l1_[node], &l2_[node]})
-        if (const Cache::Slot s = c->find(blk); s != Cache::kNoSlot)
-            c->invalidateAt(s);
+    // The node's L1 holds a subset of its L2 (fillL2 back-invalidates
+    // its victims), so the L1 is scanned only when the L2 held blk.
+    Cache &l2 = l2_[node];
+    const Cache::Slot s2 = l2.find(blk);
+    if (s2 == Cache::kNoSlot)
+        return;
+    l2.invalidateAt(s2);
+    Cache &l1 = l1_[node];
+    if (const Cache::Slot s1 = l1.find(blk); s1 != Cache::kNoSlot)
+        l1.invalidateAt(s1);
 }
 
 void
@@ -174,12 +181,16 @@ MultiChipSystem::handleWrite(const Access &acc, BlockId blk)
         de.sharers = 1u << node;
         de.owner = static_cast<int>(node);
 
-        if (s2 != Cache::kNoSlot) {
-            l2.setStateAt(s2, CohState::Modified);
-            l2.touch(s2);
-        } else {
+        if (s2 == Cache::kNoSlot) {
+            // The L2 missed, so by inclusion the L1 cannot hold blk,
+            // and fillL2 back-invalidates only its victim: fill the L1
+            // without scanning it.
             fillL2(node, blk, CohState::Modified);
+            l1.fill(blk, CohState::Modified);
+            return;
         }
+        l2.setStateAt(s2, CohState::Modified);
+        l2.touch(s2);
     }
 
     if (const Cache::Slot s1 = l1.find(blk); s1 != Cache::kNoSlot) {

@@ -269,6 +269,75 @@ TEST(MultiChip, DirectoryAgreesWithCacheResidency)
     }
 }
 
+TEST(MultiChip, L1StaysInsideL2UnderARandomMix)
+{
+    // The write and invalidation handlers skip the L1 scan when the
+    // node's L2 misses, which is sound only while every L1 line is
+    // also in its node's L2 (with the same state). An L2 of lower
+    // associativity than the L1 keeps back-invalidating L1 lines.
+    constexpr unsigned kNodes = 8;
+    constexpr std::uint64_t kBlocks = 2048;
+    MultiChipConfig cfg;
+    cfg.nodes = kNodes;
+    cfg.l1 = CacheConfig{4 * 1024, 4};
+    cfg.l2 = CacheConfig{8 * 1024, 2};
+    MultiChipSystem sys(cfg);
+
+    auto inclusive = [&](BlockId blk) -> ::testing::AssertionResult {
+        for (unsigned n = 0; n < kNodes; ++n) {
+            const auto l1 = sys.probeL1(n, blk);
+            if (l1 && l1 != sys.probeL2(n, blk))
+                return ::testing::AssertionFailure()
+                       << "blk " << blk << " node " << n
+                       << ": L1 line not mirrored in L2";
+        }
+        return ::testing::AssertionSuccess();
+    };
+
+    Rng rng(1970);
+    const BlockId base = blockOf(kA);
+    for (unsigned i = 0; i < 60000; ++i) {
+        const unsigned cpu = static_cast<unsigned>(rng.below(kNodes));
+        const Addr a = blockBase(base + rng.below(kBlocks));
+        const std::uint64_t op = rng.below(100);
+        if (op < 55)
+            sys.access(read(cpu, a));
+        else if (op < 93)
+            sys.access(write(cpu, a));
+        else if (op < 97)
+            sys.access(dma(a));
+        else
+            sys.access(nonAlloc(cpu, a));
+        ASSERT_TRUE(inclusive(blockOf(a))) << "access " << i;
+        if (i % 2000 == 1999) {
+            for (BlockId b = base; b < base + kBlocks; ++b)
+                ASSERT_TRUE(inclusive(b)) << "sweep after access " << i;
+        }
+    }
+    const auto c = sys.cacheCounters();
+    EXPECT_GT(c.l2.evictions, 0u);
+    EXPECT_GT(c.l1.invalidations, 0u);
+}
+
+TEST(MultiChip, WriteMissFillsTheL1WithoutScanningIt)
+{
+    MultiChipSystem sys;
+    sys.access(write(0, kA));
+    auto c = sys.cacheCounters();
+    EXPECT_EQ(c.l1.finds, 0u);
+    EXPECT_EQ(c.l1.fills, 1u);
+    EXPECT_EQ(c.l2.finds, 1u);
+    EXPECT_EQ(sys.probeL1(0, blockOf(kA)), CohState::Modified);
+
+    // An upgrade (L2 hit in Shared) still finds the L1 line.
+    sys.access(read(1, kA + kBlockSize));
+    sys.access(write(1, kA + kBlockSize));
+    c = sys.cacheCounters();
+    EXPECT_EQ(sys.probeL1(1, blockOf(kA + kBlockSize)),
+              CohState::Modified);
+    EXPECT_EQ(c.l1.fills, 2u);
+}
+
 // ---------------------------------------------------------------------
 // Single-chip MOSI.
 // ---------------------------------------------------------------------

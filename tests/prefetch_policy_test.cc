@@ -8,7 +8,9 @@
  * FixedDepthPolicy / HybridPolicy driven through evaluatePolicy()),
  * and the node-map harness that preceded the flat FIFO buffers
  * (against evaluatePolicy() for every registered policy, including
- * buffers of one to three blocks). On top of that: adaptive depth
+ * buffers of one to three blocks). The one-pass evaluatePolicies() is
+ * held to both references and to per-config evaluatePolicy() across
+ * depths, ring sizes and buffer sizes. On top of that: adaptive depth
  * throttling, storage accounting, the registry, and the
  * prefetcher-in-the-loop engine (covered misses vanish from the
  * recorded trace; the remainder is the uncovered subsequence of the
@@ -21,7 +23,9 @@
 
 #include "core/prefetch_policy.hh"
 #include "core/stride.hh"
+#include "obs/telemetry.hh"
 #include "sim/experiment.hh"
+#include "util/json.hh"
 #include "util/rng.hh"
 
 namespace tstream
@@ -472,6 +476,228 @@ TEST(PrefetchPolicyDiff, ReusedPolicyScoresLikeAFreshOne)
         expectStatsEq(evaluatePolicy(second, *reused),
                       evaluatePolicy(second, *fresh));
     }
+}
+
+// ---------------------------------------------------------------------------
+// One-pass scoring: evaluatePolicies() vs per-config evaluatePolicy() and
+// the frozen references, exact equality.
+// ---------------------------------------------------------------------------
+
+PolicyConfig
+configOf(const std::string &name, const TsPrefetcherConfig &ts)
+{
+    PolicyConfig c;
+    c.name = name;
+    c.params.ts = ts;
+    return c;
+}
+
+/** What evaluatePolicy() gives a fresh registry policy for @p c. */
+PolicyScore
+scoreAlone(const MissTrace &t, const PolicyConfig &c)
+{
+    auto policy = makePrefetchPolicy(c.name, c.params);
+    PolicyScore s;
+    s.stats = evaluatePolicy(t, *policy, c.params.ts.bufferBlocks);
+    s.storageBytes = policy->storageBytes();
+    return s;
+}
+
+/** The frozen reference's stats for a fixed/hybrid/stride config. */
+TsPrefetcherStats
+scoreByReference(const MissTrace &t, const PolicyConfig &c)
+{
+    if (c.name == "fixed")
+        return RefPrefetcher(c.params.ts).evaluate(t);
+    if (c.name == "hybrid")
+        return RefPrefetcher(c.params.ts)
+            .evaluateHybrid(t, c.params.strideDegree);
+    auto policy = makePrefetchPolicy(c.name, c.params);
+    return RefHarness(*policy, c.params.ts.bufferBlocks).evaluate(t);
+}
+
+/** evaluatePolicies(configs) equals scoring each config on its own,
+ *  and the frozen references, config by config. */
+void
+expectOnePassMatches(const MissTrace &t,
+                     const std::vector<PolicyConfig> &configs)
+{
+    const std::vector<PolicyScore> scores = evaluatePolicies(t, configs);
+    ASSERT_EQ(scores.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const PolicyConfig &c = configs[i];
+        SCOPED_TRACE(c.name + " depth " +
+                     std::to_string(c.params.ts.replayDepth) + " ring " +
+                     std::to_string(c.params.ts.historyEntries) +
+                     " buffer " +
+                     std::to_string(c.params.ts.bufferBlocks) +
+                     (c.params.ts.crossCpu ? "" : " own-cpu"));
+        const PolicyScore alone = scoreAlone(t, c);
+        expectStatsEq(scores[i].stats, alone.stats);
+        EXPECT_EQ(scores[i].storageBytes, alone.storageBytes);
+        expectStatsEq(scores[i].stats, scoreByReference(t, c));
+    }
+}
+
+TEST(PrefetchPolicyDiff, OnePassMatchesAcrossDepthsRingsAndBuffers)
+{
+    // One family per trace: every depth x ring x buffer point for the
+    // fixed and hybrid policies plus stride per buffer, so the shared
+    // history is sized to 2^18 while 7- and 4096-entry configurations
+    // wrap many times, and one-block buffers displace a deep replay's
+    // first candidates at once.
+    std::vector<PolicyConfig> configs;
+    for (const std::uint32_t buffer : {1u, 3u, 64u}) {
+        for (const std::uint32_t ring : {7u, 1u << 12, 1u << 18}) {
+            for (const std::uint32_t depth : {1u, 4u, 8u, 16u, 32u}) {
+                TsPrefetcherConfig ts;
+                ts.replayDepth = depth;
+                ts.historyEntries = ring;
+                ts.bufferBlocks = buffer;
+                configs.push_back(configOf("fixed", ts));
+                configs.push_back(configOf("hybrid", ts));
+            }
+        }
+        TsPrefetcherConfig ts;
+        ts.bufferBlocks = buffer;
+        configs.push_back(configOf("stride", ts));
+    }
+    for (const unsigned ncpu : {1u, 4u}) {
+        SCOPED_TRACE("ncpu " + std::to_string(ncpu));
+        expectOnePassMatches(synthTrace(37, ncpu, 12000), configs);
+    }
+}
+
+TEST(PrefetchPolicyDiff, OnePassMatchesWithoutCrossCpu)
+{
+    // Own-CPU and cross-CPU configurations share one index.
+    std::vector<PolicyConfig> configs;
+    for (const bool cross : {false, true}) {
+        for (const std::uint32_t ring : {7u, 1u << 12}) {
+            for (const std::uint32_t depth : {1u, 8u, 32u}) {
+                TsPrefetcherConfig ts;
+                ts.crossCpu = cross;
+                ts.historyEntries = ring;
+                ts.replayDepth = depth;
+                configs.push_back(configOf("fixed", ts));
+                configs.push_back(configOf("hybrid", ts));
+            }
+        }
+    }
+    expectOnePassMatches(synthTrace(11, 4), configs);
+}
+
+TEST(PrefetchPolicyDiff, OnePassMatchesWithCpuIdsBeyondNumCpus)
+{
+    // Records of CPUs 2..5 in a two-CPU trace: the buffers and
+    // histories fold them onto CPU 0, the stride detector does not.
+    MissTrace t = synthTrace(43, 6, 8000);
+    t.numCpus = 2;
+    std::vector<PolicyConfig> configs;
+    for (const char *name : {"fixed", "stride", "hybrid"}) {
+        for (const std::uint32_t ring : {7u, 1u << 12}) {
+            TsPrefetcherConfig ts;
+            ts.historyEntries = ring;
+            ts.bufferBlocks = 3;
+            configs.push_back(configOf(name, ts));
+            ts.crossCpu = false;
+            ts.bufferBlocks = 64;
+            configs.push_back(configOf(name, ts));
+        }
+    }
+    expectOnePassMatches(t, configs);
+}
+
+TEST(PrefetchPolicyDiff, OnePassOnAnEmptyTrace)
+{
+    MissTrace empty;
+    std::vector<PolicyConfig> configs;
+    for (const std::string &name : prefetchPolicyNames())
+        configs.push_back(configOf(name, TsPrefetcherConfig{}));
+    const std::vector<PolicyScore> scores =
+        evaluatePolicies(empty, configs);
+    ASSERT_EQ(scores.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE(configs[i].name);
+        expectStatsEq(scores[i].stats, TsPrefetcherStats{});
+        EXPECT_EQ(scores[i].storageBytes,
+                  scoreAlone(empty, configs[i]).storageBytes);
+    }
+    EXPECT_TRUE(evaluatePolicies(synthTrace(3, 2, 100), {}).empty());
+}
+
+TEST(PrefetchPolicyDiff, OnePassKeepsTheOrderOfAMixedListWithAdaptive)
+{
+    // Adaptive reads usefulness feedback, so it is scored by its own
+    // harness; its scores must still land at its places in the list.
+    TsPrefetcherConfig shallow;
+    shallow.replayDepth = 2;
+    TsPrefetcherConfig small;
+    small.historyEntries = 1 << 12;
+    small.bufferBlocks = 3;
+    PolicyConfig wideStride = configOf("stride", TsPrefetcherConfig{});
+    wideStride.params.strideDegree = 4;
+    const std::vector<PolicyConfig> configs = {
+        configOf("adaptive", TsPrefetcherConfig{}),
+        configOf("fixed", small),
+        wideStride,
+        configOf("adaptive", shallow),
+        configOf("hybrid", shallow),
+        configOf("adaptive", small),
+        configOf("stride", TsPrefetcherConfig{}),
+    };
+    for (const unsigned ncpu : {1u, 4u}) {
+        SCOPED_TRACE("ncpu " + std::to_string(ncpu));
+        const MissTrace t = synthTrace(47, ncpu);
+        const std::vector<PolicyScore> scores = evaluatePolicies(t, configs);
+        ASSERT_EQ(scores.size(), configs.size());
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            SCOPED_TRACE(i);
+            const PolicyScore alone = scoreAlone(t, configs[i]);
+            expectStatsEq(scores[i].stats, alone.stats);
+            EXPECT_EQ(scores[i].storageBytes, alone.storageBytes);
+        }
+        // The adaptive entries differ, so a reordering would show.
+        EXPECT_NE(scores[0].stats.issued, scores[3].stats.issued);
+    }
+}
+
+TEST(PrefetchPolicyDiff, OnePassEmitsOneSpanAndPerConfigCounters)
+{
+    const MissTrace t = synthTrace(5, 2, 4000);
+    const std::vector<PolicyConfig> configs = {
+        configOf("fixed", TsPrefetcherConfig{}),
+        configOf("adaptive", TsPrefetcherConfig{}),
+        configOf("hybrid", TsPrefetcherConfig{}),
+    };
+    telemetry::enable(""); // in-memory: no exit artifacts
+    telemetry::reset();
+    const std::vector<PolicyScore> scores = evaluatePolicies(t, configs);
+    EXPECT_EQ(telemetry::spanCount(), 1u);
+    const json::Value doc = telemetry::traceEventsJson();
+    const json::Value &ev = doc.find("traceEvents")->items().at(0);
+    EXPECT_EQ(ev.find("name")->asString(), "prefetch.evaluate");
+    EXPECT_EQ(ev.find("args")->find("configs")->asInt(), 3);
+    TsPrefetcherStats sum;
+    for (const PolicyScore &s : scores) {
+        sum.issued += s.stats.issued;
+        sum.useful += s.stats.useful;
+        sum.covered += s.stats.covered;
+        sum.evictions += s.stats.evictions;
+    }
+    EXPECT_EQ(telemetry::counterValue("prefetch.issued"), sum.issued);
+    EXPECT_EQ(telemetry::counterValue("prefetch.useful"), sum.useful);
+    EXPECT_EQ(telemetry::counterValue("prefetch.covered"), sum.covered);
+    EXPECT_EQ(telemetry::counterValue("prefetch.evictions"),
+              sum.evictions);
+    telemetry::disable();
+}
+
+TEST(PrefetchPolicyDeathTest, OnePassRejectsAnUnknownPolicy)
+{
+    const MissTrace t = synthTrace(3, 1, 100);
+    EXPECT_DEATH(evaluatePolicies(t, {configOf("nosuch", {})}),
+                 "unknown policy 'nosuch'");
 }
 
 // ---------------------------------------------------------------------------
